@@ -4,13 +4,25 @@ Operations are recorded on a :class:`Tape` in execution order; reverse
 iteration over the recorded ops is reverse topological order, so a single
 backward sweep accumulates exact gradients.  Only the handful of ops the
 miniature forecaster needs are provided, each with a hand-written
-vector-Jacobian product.
+vector-Jacobian product; the two loss ops take value and gradient from the
+loss kernels in :mod:`raincast.probcast`.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .probcast import _masked_bce, _masked_softmax_ce
 from .raster import depth_to_space_array, space_to_depth_array
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign of v."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 class Tensor:
@@ -33,7 +45,11 @@ class Tensor:
 
 
 class Tape:
-    """Records forward ops as (output, forward_fn, backward_fn) triples."""
+    """Records each op's output with the closure that back-propagates into it.
+
+    Every op computes its forward value once, when it is recorded; the tape
+    keeps only what the backward sweep needs.
+    """
 
     def __init__(self):
         self._ops = []
@@ -44,23 +60,18 @@ class Tape:
         self._nodes.append(t)
         return t
 
-    def _push(self, out: Tensor, fwd, bwd):
+    def _push(self, out: Tensor, bwd):
         self._nodes.append(out)
-        self._ops.append((out, fwd, bwd))
+        self._ops.append((out, bwd))
 
     def backward(self, root: Tensor):
         """Accumulate d(root)/d(node) into every node's .grad."""
         for n in self._nodes:
             n.grad = None
         root.grad = np.ones_like(root.value)
-        for out, _, bwd in reversed(self._ops):
+        for out, bwd in reversed(self._ops):
             if out.grad is not None:
                 bwd(out.grad)
-
-    def replay(self):
-        """Recompute every recorded op in order from current input values."""
-        for out, fwd, _ in self._ops:
-            out.value = fwd()
 
     # ------------------------------------------------------------------ ops
 
@@ -73,69 +84,40 @@ class Tape:
             a.add_grad(g)
             b.add_grad(g)
 
-        self._push(out, lambda: a.value + b.value, bwd)
+        self._push(out, bwd)
         return out
 
     def reshape(self, a: Tensor, shape) -> Tensor:
         old = a.value.shape
         out = Tensor(a.value.reshape(shape))
-
-        def bwd(g):
-            a.add_grad(g.reshape(old))
-
-        self._push(out, lambda: a.value.reshape(shape), bwd)
+        self._push(out, lambda g: a.add_grad(g.reshape(old)))
         return out
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        def fwd():
-            v = a.value
-            out = np.empty_like(v)
-            pos = v >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-            ev = np.exp(v[~pos])
-            out[~pos] = ev / (1.0 + ev)
-            return out
-
-        out = Tensor(fwd())
+        out = Tensor(_sigmoid(a.value))
 
         def bwd(g):
             s = out.value
             a.add_grad(g * s * (1.0 - s))
 
-        self._push(out, fwd, bwd)
+        self._push(out, bwd)
         return out
 
     def silu(self, a: Tensor) -> Tensor:
         """x * sigmoid(x): the smooth pointwise nonlinearity used throughout."""
-
-        def _sig(v):
-            out = np.empty_like(v)
-            pos = v >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-            ev = np.exp(v[~pos])
-            out[~pos] = ev / (1.0 + ev)
-            return out
-
-        def fwd():
-            return a.value * _sig(a.value)
-
-        out = Tensor(fwd())
+        out = Tensor(a.value * _sigmoid(a.value))
 
         def bwd(g):
-            s = _sig(a.value)
+            s = _sigmoid(a.value)
             a.add_grad(g * (s + a.value * s * (1.0 - s)))
 
-        self._push(out, fwd, bwd)
+        self._push(out, bwd)
         return out
 
     def conv1x1(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """Pointwise conv: x (B,C,H,W), w (O,C), b (O)."""
-
-        def fwd():
-            out = np.tensordot(x.value, w.value, axes=([1], [1]))  # B,H,W,O
-            return np.ascontiguousarray(np.moveaxis(out, 3, 1)) + b.value[:, None, None]
-
-        out = Tensor(fwd())
+        y = np.tensordot(x.value, w.value, axes=([1], [1]))  # B,H,W,O
+        out = Tensor(np.ascontiguousarray(np.moveaxis(y, 3, 1)) + b.value[:, None, None])
 
         def bwd(g):
             b.add_grad(g.sum(axis=(0, 2, 3)))
@@ -143,19 +125,15 @@ class Tape:
             gx = np.tensordot(g, w.value, axes=([1], [0]))  # B,H,W,C
             x.add_grad(np.ascontiguousarray(np.moveaxis(gx, 3, 1)))
 
-        self._push(out, fwd, bwd)
+        self._push(out, bwd)
         return out
 
     def conv3x3(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """Same-padded 3x3 conv: x (B,C,H,W), w (O,C,3,3), b (O)."""
-
-        def fwd():
-            xp = np.pad(x.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # B,C,H,W,3,3
-            out = np.tensordot(win, w.value, axes=([1, 4, 5], [1, 2, 3]))  # B,H,W,O
-            return np.ascontiguousarray(np.moveaxis(out, 3, 1)) + b.value[:, None, None]
-
-        out = Tensor(fwd())
+        xp = np.pad(x.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # B,C,H,W,3,3
+        y = np.tensordot(win, w.value, axes=([1, 4, 5], [1, 2, 3]))  # B,H,W,O
+        out = Tensor(np.ascontiguousarray(np.moveaxis(y, 3, 1)) + b.value[:, None, None])
 
         def bwd(g):
             b.add_grad(g.sum(axis=(0, 2, 3)))
@@ -168,70 +146,39 @@ class Tape:
             gx = np.tensordot(gwin, wf, axes=([1, 4, 5], [0, 2, 3]))  # B,H,W,C
             x.add_grad(np.ascontiguousarray(np.moveaxis(gx, 3, 1)))
 
-        self._push(out, fwd, bwd)
+        self._push(out, bwd)
         return out
 
     def space_to_depth(self, x: Tensor, block: int) -> Tensor:
         out = Tensor(space_to_depth_array(x.value, block))
-
-        def bwd(g):
-            x.add_grad(depth_to_space_array(g, block))
-
-        self._push(out, lambda: space_to_depth_array(x.value, block), bwd)
+        self._push(out, lambda g: x.add_grad(depth_to_space_array(g, block)))
         return out
 
     def depth_to_space(self, x: Tensor, block: int) -> Tensor:
         out = Tensor(depth_to_space_array(x.value, block))
-
-        def bwd(g):
-            x.add_grad(space_to_depth_array(g, block))
-
-        self._push(out, lambda: depth_to_space_array(x.value, block), bwd)
+        self._push(out, lambda g: x.add_grad(space_to_depth_array(g, block)))
         return out
 
     def weighted_sum(self, x: Tensor, weights: np.ndarray) -> Tensor:
         """Scalar sum(x * weights) for a constant weight array."""
         weights = np.asarray(weights, dtype=np.float64)
-
-        def fwd():
-            return np.array(np.sum(x.value * weights))
-
-        out = Tensor(fwd())
-
-        def bwd(g):
-            x.add_grad(float(g) * weights)
-
-        self._push(out, fwd, bwd)
+        out = Tensor(np.sum(x.value * weights))
+        self._push(out, lambda g: x.add_grad(float(g) * weights))
         return out
 
+    # The two losses record their gradient with the value: the probcast
+    # kernels compute both from one pass over the clamped inputs.
+
     def masked_bce(self, q: Tensor, targets: np.ndarray, sel: np.ndarray,
-                   weights: np.ndarray, eps: float = 1e-7) -> Tensor:
+                   weights: np.ndarray) -> Tensor:
         """Scalar sum_sel(weights * BCE(clip(q), targets)) / count(sel).
 
         targets, sel and weights are constants broadcastable to q's shape;
-        the clamp keeps log finite and zeroes the gradient outside [eps, 1-eps].
+        see :func:`raincast.probcast._masked_bce`.
         """
-        n = int(np.sum(sel))
-
-        def fwd():
-            if n == 0:
-                return np.array(0.0)
-            qc = np.clip(q.value, eps, 1.0 - eps)
-            bce = -(targets * np.log(qc) + (1.0 - targets) * np.log1p(-qc))
-            return np.array(np.sum(bce * weights, where=sel) / n)
-
-        out = Tensor(fwd())
-
-        def bwd(g):
-            if n == 0:
-                q.add_grad(np.zeros_like(q.value))
-                return
-            qc = np.clip(q.value, eps, 1.0 - eps)
-            grad = np.where(sel, weights * (qc - targets) / (qc * (1.0 - qc)) / n, 0.0)
-            grad[(q.value < eps) | (q.value > 1.0 - eps)] = 0.0
-            q.add_grad(float(g) * grad)
-
-        self._push(out, fwd, bwd)
+        value, _, grad = _masked_bce(q.value, targets, sel, weights, with_grad=True)
+        out = Tensor(value)
+        self._push(out, lambda g: q.add_grad(float(g) * grad))
         return out
 
     def masked_softmax_ce(self, logits: Tensor, labels: np.ndarray, valid: np.ndarray,
@@ -239,36 +186,10 @@ class Tape:
         """Scalar sum_valid(weights * CE(softmax(logits), labels)) / count(valid).
 
         labels holds integer class indices along ``axis``; valid and weights
-        broadcast to the label shape.
+        broadcast to the label shape.  See :func:`raincast.probcast._masked_softmax_ce`.
         """
-        n = int(np.sum(valid))
-        labels_exp = np.expand_dims(labels, axis)
-
-        def _softmax(v):
-            m = v.max(axis=axis, keepdims=True)
-            e = np.exp(v - m)
-            return e / e.sum(axis=axis, keepdims=True)
-
-        def fwd():
-            if n == 0:
-                return np.array(0.0)
-            v = logits.value
-            m = v.max(axis=axis, keepdims=True)
-            lse = np.squeeze(m, axis) + np.log(np.exp(v - m).sum(axis=axis))
-            picked = np.squeeze(np.take_along_axis(v, labels_exp, axis=axis), axis)
-            return np.array(np.sum((lse - picked) * weights, where=valid) / n)
-
-        out = Tensor(fwd())
-
-        def bwd(g):
-            if n == 0:
-                logits.add_grad(np.zeros_like(logits.value))
-                return
-            p = _softmax(logits.value)
-            onehot = np.zeros_like(p)
-            np.put_along_axis(onehot, labels_exp, 1.0, axis=axis)
-            wv = np.expand_dims(np.broadcast_to(weights * valid, labels.shape), axis)
-            logits.add_grad(float(g) * (p - onehot) * wv / n)
-
-        self._push(out, fwd, bwd)
+        value, _, grad = _masked_softmax_ce(logits.value, labels, valid, weights, axis,
+                                            with_grad=True)
+        out = Tensor(value)
+        self._push(out, lambda g: logits.add_grad(float(g) * grad))
         return out

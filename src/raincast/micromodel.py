@@ -20,7 +20,14 @@ import numpy as np
 
 from .autodiff import Tape
 from .intensity import BinSet, exceedance_masks
-from .probcast import bucket_probs_to_exceedance, lead_time_weights, reconstruct
+from .probcast import (
+    _bucket_labels,
+    _ordinal_selection,
+    bucket_probs_to_exceedance,
+    lead_time_weights,
+    reconstruct,
+    softmax,
+)
 from .raster import SENTINEL
 
 LEARNING_RATE = 3e-4
@@ -47,7 +54,6 @@ class ModelConfig:
     alpha: float = 10.0
     seed: int = 0
     rate_cap: float = 32.0  # min-max normalization cap in mm/h
-    weight_form: str = "ratio"
     steps: int = 2000
     batch_size: int = 8
     lr: float = LEARNING_RATE
@@ -239,10 +245,7 @@ def predict(params: ParamSet, frames: np.ndarray, config: ModelConfig | None = N
     if config.loss == "ordinal":
         cube = reconstruct(raw)
     else:
-        m = raw.max(axis=2, keepdims=True)
-        e = np.exp(raw - m)
-        probs = e / e.sum(axis=2, keepdims=True)
-        cube = bucket_probs_to_exceedance(probs)
+        cube = bucket_probs_to_exceedance(softmax(raw, axis=2))
     return cube[0] if squeeze else cube
 
 
@@ -270,19 +273,16 @@ def batch_loss(params: ParamSet, inputs: np.ndarray, target_rates: np.ndarray,
     if config.mode == "lead-conditioned":
         masks = masks[:, lead_idx : lead_idx + 1]
         valid = valid[:, lead_idx : lead_idx + 1]
-        wt = np.ones((1, 1, 1, 1, 1))
+        w = np.ones(1)
     else:
-        wt = weights.w[None, :, None, None, None]
+        w = weights.w
 
     out, tape, _ = forward(params, inputs, config, lead_idx=lead_idx)
     if config.loss == "ordinal":
-        sel = np.empty_like(masks, dtype=bool)
-        sel[:, :, 0] = valid
-        sel[:, :, 1:] = (masks[:, :, :-1] > 0) & valid[:, :, None]
-        loss = tape.masked_bce(out, masks, sel, np.broadcast_to(wt, masks.shape))
+        sel = _ordinal_selection(masks, valid)
+        loss = tape.masked_bce(out, masks, sel, w[:, None, None, None])
     else:
-        labels = masks.sum(axis=2).astype(np.intp)
-        loss = tape.masked_softmax_ce(out, labels, valid, wt[:, :, 0], axis=2)
+        loss = tape.masked_softmax_ce(out, _bucket_labels(masks), valid, w[:, None, None], axis=2)
     return loss, tape
 
 
@@ -298,7 +298,7 @@ def train(dataset, config: ModelConfig, bins: BinSet, params: ParamSet | None = 
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     params = init_params(config, rng) if params is None else params
-    weights = lead_time_weights(config.alpha, config.t_out, config.weight_form)
+    weights = lead_time_weights(config.alpha, config.t_out)
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(var) for k, var in params.tensors.items()}
     if config.use_ema and params.ema is None:

@@ -8,6 +8,7 @@ it.  All randomness flows from the single configured seed.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -109,6 +110,9 @@ class RunConfig:
                 model=ModelConfig(**model_doc),
                 out_dir=doc.get("out_dir"),
             )
+            for key in ("thresholds", "windows_km"):
+                if not all(math.isfinite(v) and v > 0 for v in getattr(cfg, key)):
+                    raise ConfigError(f"{key} must all be finite and positive")
         except (TypeError, ValueError, KeyError) as e:
             if isinstance(e, ConfigError):
                 raise

@@ -69,38 +69,35 @@ class LeadWeights:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64))
 
 
-def lead_time_weights(alpha: float, t_steps: int, form: str = "ratio") -> LeadWeights:
+def lead_time_weights(alpha: float, t_steps: int) -> LeadWeights:
     """Exponentially decaying lead-time weights, normalized to mean 1.
 
-    form="ratio" (default): raw[t] = alpha**(-t / (T-1)); the first/last
-    weight ratio equals alpha.  form="literal": raw[t] = exp(-alpha * t),
-    which collapses numerically for large alpha * T and is kept only as a
-    configuration switch.
-
-    The raw weights are normalized to sum 1, then rescaled so their mean is
-    exactly 1, which keeps the weighted loss on the same scale as the
+    raw[t] = alpha**(-t / (T-1)), so the first/last weight ratio equals
+    alpha.  The raw weights are normalized to sum 1, then rescaled so their
+    mean is exactly 1, which keeps the weighted loss on the same scale as the
     unweighted one.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if t_steps < 1:
         raise ValueError("t_steps must be >= 1")
-    t = np.arange(t_steps, dtype=np.float64)
     if t_steps == 1:
         return LeadWeights(np.ones(1), float(alpha))
-    if form == "ratio":
-        raw = alpha ** (-t / (t_steps - 1))
-    elif form == "literal":
-        raw = np.exp(-alpha * t)
-    else:
-        raise ValueError(f"unknown weight form {form!r}")
+    raw = alpha ** (-np.arange(t_steps, dtype=np.float64) / (t_steps - 1))
     norm = raw / raw.sum()
     w = norm / norm.mean()
     return LeadWeights(w, float(alpha))
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: one numpy kernel per loss, shared by the numpy API below and by the
+# tape ops in :mod:`raincast.autodiff`
+
+
+def softmax(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``, shifted by the maximum so exp cannot overflow."""
+    e = np.exp(logits - logits.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _ordinal_selection(masks: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -110,6 +107,54 @@ def _ordinal_selection(masks: np.ndarray, valid: np.ndarray) -> np.ndarray:
     sel[..., 0, :, :] = valid
     sel[..., 1:, :, :] = (masks[..., :-1, :, :] > 0) & valid[..., None, :, :]
     return sel
+
+
+def _bucket_labels(masks: np.ndarray) -> np.ndarray:
+    """Observed bucket index per pixel: the number of exceeded edges."""
+    return masks.sum(axis=-3).astype(np.intp)
+
+
+def _masked_bce(q, targets, sel, weights, with_grad: bool = False):
+    """sum_sel(weights * BCE(clip(q), targets)) / |sel|.
+
+    targets, sel and weights broadcast to q's shape.  Returns (value, |sel|,
+    gradient with respect to q or None); the gradient is zero where the
+    clamp to [EPS, 1 - EPS] is active and everywhere when |sel| = 0.
+    """
+    n = int(np.sum(sel))
+    if n == 0:
+        return 0.0, 0, np.zeros_like(q) if with_grad else None
+    qc = np.clip(q, EPS, 1.0 - EPS)
+    bce = -(targets * np.log(qc) + (1.0 - targets) * np.log1p(-qc))
+    value = float(np.sum(bce * weights, where=sel)) / n
+    if not with_grad:
+        return value, n, None
+    grad = np.where(sel, weights * (qc - targets) / (qc * (1.0 - qc)) / n, 0.0)
+    grad[(q < EPS) | (q > 1.0 - EPS)] = 0.0
+    return value, n, grad
+
+
+def _masked_softmax_ce(logits, labels, valid, weights, axis: int, with_grad: bool = False):
+    """sum_valid(weights * CE(softmax(logits), labels)) / |valid|, via log-sum-exp.
+
+    labels holds integer class indices along ``axis``; valid and weights
+    broadcast to the label shape.  Returns (value, |valid|, gradient with
+    respect to logits or None).
+    """
+    n = int(np.sum(valid))
+    if n == 0:
+        return 0.0, 0, np.zeros_like(logits) if with_grad else None
+    labels = np.expand_dims(labels, axis)
+    m = logits.max(axis=axis, keepdims=True)
+    lse = np.squeeze(m, axis) + np.log(np.exp(logits - m).sum(axis=axis))
+    picked = np.squeeze(np.take_along_axis(logits, labels, axis=axis), axis)
+    value = float(np.sum((lse - picked) * weights, where=valid)) / n
+    if not with_grad:
+        return value, n, None
+    onehot = np.zeros_like(logits)
+    np.put_along_axis(onehot, labels, 1.0, axis=axis)
+    wv = np.expand_dims(np.broadcast_to(weights * valid, picked.shape), axis)
+    return value, n, (softmax(logits, axis) - onehot) * wv / n
 
 
 def ordinal_loss(
@@ -132,26 +177,11 @@ def ordinal_loss(
     masks, valid = targets.masks, targets.valid
     if q.shape != masks.shape:
         raise ValueError(f"cond shape {q.shape} != target shape {masks.shape}")
-    sel = _ordinal_selection(masks, valid)
-    n = int(sel.sum())
-    t_steps = q.shape[-4]
-    w = np.ones(t_steps) if weights is None else weights.w
-    wt = w[:, None, None, None]
-
-    qc = np.clip(q, EPS, 1.0 - EPS)
-    bce = -(masks * np.log(qc) + (1.0 - masks) * np.log1p(-qc))
-    if n == 0:
-        loss = LossValue(0.0, 0)
-        if return_grad:
-            return loss, np.zeros_like(q)
-        return loss
-    total = float(np.sum(bce * wt, where=sel))
-    loss = LossValue(total / n, n)
-    if not return_grad:
-        return loss
-    grad = np.where(sel, wt * (qc - masks) / (qc * (1.0 - qc)) / n, 0.0)
-    grad[(q < EPS) | (q > 1.0 - EPS)] = 0.0  # clamp region
-    return loss, grad
+    w = np.ones(q.shape[-4]) if weights is None else weights.w
+    value, n, grad = _masked_bce(q, masks, _ordinal_selection(masks, valid),
+                                 w[:, None, None, None], return_grad)
+    loss = LossValue(value, n)
+    return (loss, grad) if return_grad else loss
 
 
 def ce_loss(
@@ -168,19 +198,10 @@ def ce_loss(
     masks, valid = targets.masks, targets.valid
     if logits.shape[-3] != masks.shape[-3] + 1:
         raise ValueError("bucket_logits must cover K+1 buckets including no-rain")
-    labels = masks.sum(axis=-3).astype(np.intp)  # number of exceeded edges
-    n = int(valid.sum())
-    if n == 0:
-        return LossValue(0.0, 0)
-    t_steps = logits.shape[-4]
-    w = np.ones(t_steps) if weights is None else weights.w
-
-    m = logits.max(axis=-3, keepdims=True)
-    lse = m[..., 0, :, :] + np.log(np.exp(logits - m).sum(axis=-3))
-    picked = np.take_along_axis(logits, labels[..., None, :, :], axis=-3)[..., 0, :, :]
-    ce = lse - picked
-    total = float(np.sum(ce * w[:, None, None], where=valid))
-    return LossValue(total / n, n)
+    w = np.ones(logits.shape[-4]) if weights is None else weights.w
+    value, n, _ = _masked_softmax_ce(logits, _bucket_labels(masks), valid,
+                                     w[:, None, None], axis=-3)
+    return LossValue(value, n)
 
 
 def bucket_probs_to_exceedance(probs: np.ndarray) -> np.ndarray:

@@ -119,68 +119,6 @@ class SourceStack:
 
 
 # ---------------------------------------------------------------------------
-# resampling
-
-
-def downsample_mean(r: Raster, factor: int) -> Raster:
-    """Block-average by an integer factor, ignoring sentinel pixels.
-
-    Each output pixel is the mean of the valid pixels in its factor x factor
-    block; a block with no valid pixels stays sentinel.
-    """
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    h, w = r.values.shape
-    if h % factor or w % factor:
-        raise DimensionError(f"factor {factor} does not divide {h}x{w}")
-    if factor == 1:
-        return r
-    v = r.values.reshape(h // factor, factor, w // factor, factor)
-    valid = v != SENTINEL
-    counts = valid.sum(axis=(1, 3))
-    sums = np.where(valid, v, 0.0).sum(axis=(1, 3))
-    with np.errstate(invalid="ignore"):
-        out = np.where(counts > 0, sums / np.maximum(counts, 1), SENTINEL)
-    return Raster(out, r.res_km * factor, r.origin_km, r.kind)
-
-
-def upsample_bilinear(r: Raster, factor: int) -> Raster:
-    """Bilinear upsampling with half-pixel-center alignment and edge clamping.
-
-    The input must not contain sentinels (fill or mask first).
-    """
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if np.any(r.values == SENTINEL):
-        raise ValueError("upsample_bilinear input contains sentinel pixels")
-    if factor == 1:
-        return r
-    h, w = r.values.shape
-
-    def axis_coords(n):
-        src = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
-        src = np.clip(src, 0.0, n - 1.0)
-        i0 = np.floor(src).astype(np.intp)
-        i0 = np.minimum(i0, n - 1)
-        frac = src - i0
-        i1 = np.minimum(i0 + 1, n - 1)
-        return i0, i1, frac
-
-    y0, y1, fy = axis_coords(h)
-    x0, x1, fx = axis_coords(w)
-    v = r.values
-    # lerp form keeps constants exact: a + f*(b - a)
-    top = v[np.ix_(y0, x0)]
-    top = top + fx[None, :] * (v[np.ix_(y0, x1)] - top)
-    bot = v[np.ix_(y1, x0)]
-    bot = bot + fx[None, :] * (v[np.ix_(y1, x1)] - bot)
-    out = top + fy[:, None] * (bot - top)
-    return Raster(out, r.res_km / factor, r.origin_km, r.kind)
-
-
-# ---------------------------------------------------------------------------
 # tensor rearrangements (no arithmetic)
 
 

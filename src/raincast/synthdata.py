@@ -1,6 +1,5 @@
-"""Synthetic radar sequences plus the dataset mechanics around them:
-split cycles with blackout periods, and patch sampling with coverage
-filtering and random offsets.
+"""Synthetic radar sequences plus the split cycles, with blackout periods,
+that divide their timeline into train, validation and test.
 
 Scenes are sums of Gaussian rain cells advected by a constant velocity (or
 rotated about the domain center), with multiplicative intensity drift,
@@ -118,9 +117,6 @@ class SplitAssignment:
         """Timestamps carrying the given label."""
         return np.array([t for t, l in zip(self.timestamps_min, self.labels) if l == split])
 
-    def label_of(self, ts: float) -> str:
-        return self.labels[self.timestamps_min.index(ts)]
-
 
 def make_splits(
     timestamps_min,
@@ -163,52 +159,3 @@ def make_splits(
             labels.append("test")
     return SplitAssignment(tuple(ts.tolist()), tuple(labels))
 
-
-# ---------------------------------------------------------------------------
-# patch sampling
-
-
-def sample_patches(
-    frames: np.ndarray,
-    patch_px: int,
-    min_coverage: float = 0.5,
-    max_offset_px: int = 0,
-    rng: np.random.Generator | None = None,
-    training: bool = True,
-    res_km: float | None = None,
-):
-    """Patch origins (y0, x0) on the non-overlapping grid, jittered by uniform
-    random offsets clamped to the domain.
-
-    Training patches whose valid-pixel fraction over the whole stack is below
-    ``min_coverage`` are discarded; validation/test keep every patch so hard
-    low-coverage cases stay in the evaluation.  With ``res_km`` given, the
-    patch size and offset are interpreted in km instead of pixels.
-    """
-    frames = np.asarray(frames)
-    if frames.ndim == 2:
-        frames = frames[None]
-    t, h, w = frames.shape
-    if res_km is not None:
-        patch_px = int(round(patch_px / res_km))
-        max_offset_px = int(round(max_offset_px / res_km))
-    if patch_px > h or patch_px > w:
-        raise ValueError("patch larger than domain")
-    rng = np.random.default_rng(0) if rng is None else rng
-    valid = frames != SENTINEL
-
-    patches = []
-    for gy in range(0, h - patch_px + 1, patch_px):
-        for gx in range(0, w - patch_px + 1, patch_px):
-            y0, x0 = gy, gx
-            if max_offset_px:
-                y0 += int(rng.integers(-max_offset_px, max_offset_px + 1))
-                x0 += int(rng.integers(-max_offset_px, max_offset_px + 1))
-                y0 = int(np.clip(y0, 0, h - patch_px))
-                x0 = int(np.clip(x0, 0, w - patch_px))
-            if training:
-                cov = valid[:, y0 : y0 + patch_px, x0 : x0 + patch_px].mean()
-                if cov < min_coverage:
-                    continue
-            patches.append((y0, x0))
-    return patches

@@ -110,17 +110,6 @@ class TestTapeMechanics:
         h = tape.silu(h)
         return tape.sigmoid(h)
 
-    def test_replay_reproduces_outputs_bit_identically(self):
-        rng = np.random.default_rng(11)
-        tape = Tape()
-        x = tape.leaf(rng.normal(size=(1, 2, 4, 4)))
-        w = tape.leaf(rng.normal(size=(2, 2, 3, 3)))
-        b = tape.leaf(rng.normal(size=2))
-        out = self.build_chain(tape, x, w, b)
-        before = out.value.copy()
-        tape.replay()
-        np.testing.assert_array_equal(out.value, before)
-
     def test_backward_is_repeatable(self):
         rng = np.random.default_rng(12)
         tape = Tape()

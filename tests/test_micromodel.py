@@ -16,6 +16,7 @@ from raincast.micromodel import (
     _leaf_grads,
 )
 from raincast.probcast import lead_time_weights
+from raincast.raster import SENTINEL
 from raincast.synthdata import SceneConfig, gen_sequence
 
 BINS = BinSet((0.2, 0.5, 1.0, 2.0, 4.0))
@@ -193,6 +194,36 @@ class TestTraining:
                 total += weights.w[t] * part.value * part.count
                 count += part.count
         assert loss.value == pytest.approx(total / count, rel=1e-12)
+
+    def test_ce_loss_matches_numpy_ce(self):
+        # the tape CE of a batch equals the count-weighted per-sample ce_loss
+        cfg = ModelConfig(t_in=2, t_out=3, k_classes=2, channels=8, n_blocks=1,
+                          loss="ce", alpha=10.0)
+        params = init_params(cfg)
+        rng = np.random.default_rng(6)
+        for k in params.tensors:
+            params.tensors[k] = params.tensors[k] + rng.normal(0, 0.1, params.tensors[k].shape)
+        inputs = rng.uniform(0, 6, size=(2, 2, 8, 8))
+        targets = rng.uniform(0, 6, size=(2, 3, 8, 8))
+        targets[1, 2, :3] = SENTINEL
+        bins = BinSet((0.5, 2.0))
+        weights = lead_time_weights(10.0, 3)
+        loss, _ = batch_loss(params, inputs, targets, bins, weights)
+
+        from raincast.intensity import exceedance_masks
+        from raincast.probcast import LeadWeights, ce_loss
+
+        out, _, _ = forward(params, inputs)
+        total, count = 0.0, 0
+        for b in range(2):
+            part = ce_loss(out.value[b], exceedance_masks(targets[b], bins), weights)
+            total += part.value * part.count
+            count += part.count
+        assert loss.value == pytest.approx(total / count, rel=1e-12)
+        unweighted = ce_loss(out.value[0], exceedance_masks(targets[0], bins),
+                             LeadWeights(np.ones(3), 1.0))
+        assert unweighted.value != pytest.approx(
+            ce_loss(out.value[0], exceedance_masks(targets[0], bins), weights).value)
 
     def test_divergence_aborts(self):
         cfg = ModelConfig(t_in=2, t_out=2, k_classes=2, channels=8, n_blocks=1,

@@ -58,6 +58,18 @@ class TestConfig:
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("key,values", [
+        ("thresholds", [0.5, 0.0]),
+        ("thresholds", [-1.0]),
+        ("windows_km", [-10.0]),
+        ("windows_km", [0.0, 10.0]),
+    ])
+    def test_nonpositive_scores_rejected(self, tmp_path, key, values):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc[key] = values
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

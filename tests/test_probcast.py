@@ -68,12 +68,6 @@ class TestLeadTimeWeights:
         with pytest.raises(ValueError):
             lead_time_weights(0.5, 4)
 
-    def test_literal_form(self):
-        lw = lead_time_weights(1.0, 3, form="literal")
-        raw = np.exp(-1.0 * np.arange(3))
-        expect = raw / raw.sum() * 3
-        np.testing.assert_allclose(lw.w, expect)
-
 
 class TestOrdinalLoss:
     BINS = BinSet((1.0, 2.0))

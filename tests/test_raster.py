@@ -9,14 +9,12 @@ from raincast.raster import (
     SourceStack,
     align_center,
     depth_to_space_array,
-    downsample_mean,
     load_raster,
     merge_time_channels,
     save_raster,
     space_to_depth,
     space_to_depth_array,
     split_time_channels,
-    upsample_bilinear,
 )
 
 from oracles import space_to_depth_loop
@@ -25,60 +23,6 @@ from oracles import space_to_depth_loop
 def stack_of(data, res=1.0, origin=(0.0, 0.0)):
     t = data.shape[0]
     return SourceStack(data, res, origin, tuple(range(t)), "rate")
-
-
-class TestDownsample:
-    def test_block_mean(self):
-        r = Raster(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0)
-        out = downsample_mean(r, 2)
-        np.testing.assert_allclose(out.values, [[2.5]])
-        assert out.res_km == 2.0
-        assert out.origin_km == r.origin_km
-
-    def test_valid_only_mean_and_all_sentinel(self):
-        r = Raster(np.array([[1.0, -1.0, -1.0, -1.0],
-                             [-1.0, -1.0, -1.0, -1.0]]), 1.0)
-        out = downsample_mean(r, 2)
-        assert out.values[0, 0] == 1.0
-        assert out.values[0, 1] == SENTINEL
-
-    def test_factor_one_identity(self):
-        r = Raster(np.arange(4.0).reshape(2, 2), 1.0)
-        assert downsample_mean(r, 1) is r
-
-    def test_nondivisible(self):
-        r = Raster(np.ones((3, 4)), 1.0)
-        with pytest.raises(DimensionError):
-            downsample_mean(r, 2)
-
-    def test_preserves_global_mean(self):
-        rng = np.random.default_rng(0)
-        v = rng.uniform(0, 10, size=(8, 12))
-        out = downsample_mean(Raster(v, 1.0), 4)
-        assert out.values.mean() == pytest.approx(v.mean(), rel=1e-13)
-
-
-class TestUpsample:
-    def test_constant_is_exact(self):
-        r = Raster(np.full((3, 5), 2.75), 1.0)
-        out = upsample_bilinear(r, 4)
-        assert np.all(out.values == 2.75)
-        assert out.res_km == 0.25
-
-    def test_half_pixel_centers(self):
-        r = Raster(np.array([[0.0, 1.0]]), 1.0)
-        out = upsample_bilinear(r, 2)
-        assert out.values.shape == (2, 4)
-        np.testing.assert_allclose(out.values, [[0.0, 0.25, 0.75, 1.0]] * 2)
-
-    def test_factor_one_identity(self):
-        r = Raster(np.arange(4.0).reshape(2, 2), 1.0)
-        assert upsample_bilinear(r, 1) is r
-
-    def test_rejects_sentinel(self):
-        r = Raster(np.array([[0.0, SENTINEL]]), 1.0)
-        with pytest.raises(ValueError):
-            upsample_bilinear(r, 2)
 
 
 class TestSpaceToDepth:

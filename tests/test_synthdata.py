@@ -8,7 +8,6 @@ from raincast.synthdata import (
     SceneConfig,
     gen_sequence,
     make_splits,
-    sample_patches,
 )
 
 
@@ -105,52 +104,3 @@ class TestMakeSplits:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_splits([])
-
-
-class TestSamplePatches:
-    def test_full_coverage_keeps_grid(self):
-        frames = np.ones((3, 32, 32))
-        patches = sample_patches(frames, 8, rng=np.random.default_rng(0))
-        assert len(patches) == 16
-
-    def test_coverage_filter_matches_counting_oracle(self):
-        rng = np.random.default_rng(1)
-        frames = np.ones((2, 32, 32))
-        frames[:, :, :20] = SENTINEL  # 62.5% sentinel columns
-        got = sample_patches(frames, 8, min_coverage=0.5, rng=np.random.default_rng(2))
-        want = []
-        for gy in range(0, 32, 8):
-            for gx in range(0, 32, 8):
-                block = frames[:, gy : gy + 8, gx : gx + 8]
-                frac = np.mean(block != SENTINEL)
-                if frac >= 0.5:
-                    want.append((gy, gx))
-        assert got == want
-
-    def test_eval_mode_keeps_low_coverage(self):
-        frames = np.full((1, 16, 16), SENTINEL)
-        patches = sample_patches(frames, 8, training=False, rng=np.random.default_rng(3))
-        assert len(patches) == 4
-
-    def test_seeded_jitter_is_deterministic(self):
-        frames = np.ones((1, 64, 64))
-        a = sample_patches(frames, 16, max_offset_px=8, rng=np.random.default_rng(7))
-        b = sample_patches(frames, 16, max_offset_px=8, rng=np.random.default_rng(7))
-        assert a == b
-        assert any(p[0] % 16 or p[1] % 16 for p in a)  # jitter actually moved some
-
-    def test_offsets_clamped_to_domain(self):
-        frames = np.ones((1, 32, 32))
-        patches = sample_patches(frames, 16, max_offset_px=40, rng=np.random.default_rng(8))
-        for y0, x0 in patches:
-            assert 0 <= y0 <= 16 and 0 <= x0 <= 16
-
-    def test_patch_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            sample_patches(np.ones((1, 8, 8)), 16)
-
-    def test_km_units(self):
-        frames = np.ones((1, 32, 32))
-        px = sample_patches(frames, 8, rng=np.random.default_rng(4))
-        km = sample_patches(frames, 16, rng=np.random.default_rng(4), res_km=2.0)
-        assert px == km
