@@ -105,10 +105,10 @@ class Tape:
 
     def silu(self, a: Tensor) -> Tensor:
         """x * sigmoid(x): the smooth pointwise nonlinearity used throughout."""
-        out = Tensor(a.value * _sigmoid(a.value))
+        s = _sigmoid(a.value)
+        out = Tensor(a.value * s)
 
         def bwd(g):
-            s = _sigmoid(a.value)
             a.add_grad(g * (s + a.value * s * (1.0 - s)))
 
         self._push(out, bwd)

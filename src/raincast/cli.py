@@ -11,8 +11,15 @@ Subcommands mirror the pipeline stages::
     raincast attribute --config run.json --out runs/demo
     raincast report    --config run.json --out runs/demo
 
-Exit codes: 0 success, 2 missing upstream artifact, 3 configuration/schema
-violation, 4 numerical divergence.
+Every stage checks each artifact it reads: that it exists, that its header is
+valid JSON, that the config hash in it matches the current config (``eval
+--force`` waives only this check) and, for ``frames``, ``model`` and
+``predictions_<model>``, that the ``.f32`` payload has the length and sha256
+its header records.
+
+Exit codes: 0 success, 2 missing or damaged upstream artifact (the message
+names the path), 3 configuration/schema violation, including an artifact
+written under another config, 4 numerical divergence.
 """
 
 import argparse
@@ -78,19 +85,11 @@ def main(argv=None) -> int:
         out = args.out or cfg.out_dir
         if out is None:
             raise ConfigError("no output directory: pass --out or set out_dir in the config")
-        kwargs = {}
-        if args.stage in ("predict", "eval"):
-            kwargs["model"] = args.model
-        if args.stage == "eval":
-            kwargs["force"] = args.force
-            kwargs["plot_data"] = args.plot_data
-        if args.stage == "attribute":
-            kwargs.update(lead=args.lead, class_index=args.class_index, steps=args.steps)
-        if args.stage == "report":
-            kwargs["plot_data"] = args.plot_data
+        # every option a stage's subparser defines is a keyword of that stage
+        kwargs = {k: v for k, v in vars(args).items() if k not in ("stage", "config", "out", "seed")}
         run_stage(args.stage, cfg, Path(out), **kwargs)
     except MissingArtifactError as e:
-        print(f"missing artifact: {e}", file=sys.stderr)
+        print(f"missing or damaged artifact: {e}", file=sys.stderr)
         return EXIT_MISSING
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -12,12 +12,12 @@ logits (cross-entropy mode).  Training is plain AdamW with an optional EMA
 shadow, fully deterministic given the seed.
 """
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .autodiff import Tape
 from .intensity import BinSet, exceedance_masks
 from .probcast import (
@@ -365,11 +365,11 @@ def _leaf_grads(tape: Tape, params: ParamSet) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON manifest + raw little-endian float32 payload
+# checkpoints: an artifact (see artifact.py) holding the tensors by sorted
+# name, then the EMA shadow in the same order
 
 
 def save_checkpoint(base: str | Path, params: ParamSet, extra: dict | None = None) -> None:
-    base = Path(base)
     names = sorted(params.tensors)
     manifest = {
         "config": asdict(params.config),
@@ -378,32 +378,16 @@ def save_checkpoint(base: str | Path, params: ParamSet, extra: dict | None = Non
         "has_ema": params.ema is not None,
         **(extra or {}),
     }
-    blobs = [np.ascontiguousarray(params.tensors[k], dtype="<f4").tobytes() for k in names]
+    arrays = [params.tensors[k] for k in names]
     if params.ema is not None:
-        blobs += [np.ascontiguousarray(params.ema[k], dtype="<f4").tobytes() for k in names]
-    base.with_suffix(".json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
-    base.with_suffix(".f32").write_bytes(b"".join(blobs))
+        arrays += [params.ema[k] for k in names]
+    artifact.write(base, manifest, arrays)
 
 
 def load_checkpoint(base: str | Path) -> ParamSet:
-    base = Path(base)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    config = ModelConfig(**manifest["config"])
-    raw = np.frombuffer(base.with_suffix(".f32").read_bytes(), dtype="<f4").astype(np.float64)
+    manifest, arrays = artifact.read(base)
     names = sorted(manifest["tensors"])
-    tensors = {}
-    off = 0
-    for k in names:
-        shape = tuple(manifest["tensors"][k])
-        size = int(np.prod(shape))
-        tensors[k] = raw[off : off + size].reshape(shape).copy()
-        off += size
-    ema = None
-    if manifest["has_ema"]:
-        ema = {}
-        for k in names:
-            shape = tuple(manifest["tensors"][k])
-            size = int(np.prod(shape))
-            ema[k] = raw[off : off + size].reshape(shape).copy()
-            off += size
+    tensors = dict(zip(names, arrays))
+    ema = dict(zip(names, arrays[len(names):])) if manifest["has_ema"] else None
+    config = ModelConfig(**manifest["config"])
     return ParamSet(tensors=tensors, config=config, step=manifest["step"], ema=ema)

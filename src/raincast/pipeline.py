@@ -1,9 +1,11 @@
 """End-to-end orchestration: dataset generation, splits, training,
 calibration, prediction, evaluation, attribution, and report merging.
 
-Every stage reads and writes only declared paths under one output directory,
-and every artifact embeds the hash of the run configuration that produced
-it.  All randomness flows from the single configured seed.
+Every stage reads and writes only declared paths under one output directory.
+Every artifact embeds the hash of the run configuration that produced it, and
+every stage input is read through :func:`_read`, which checks that hash and,
+where the artifact has a payload, its length and digest.  All randomness flows
+from the single configured seed.
 """
 
 import hashlib
@@ -14,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from . import baseline as bl
+from .artifact import MissingArtifactError
 from .attribution import integrated_gradients
 from .intensity import BinSet, exceedance_masks
 from .micromodel import (
     ModelConfig,
-    ParamSet,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -27,16 +30,12 @@ from .micromodel import (
 )
 from .probcast import ThresholdTable, calibrate_thresholds, extract_intensity
 from .raster import SENTINEL, SourceStack, load_raster, save_raster
-from .synthdata import SceneConfig, SplitAssignment, gen_sequence, make_splits
+from .synthdata import SceneConfig, gen_sequence, make_splits
 from .verify import EvalSample, ReportConfig, build_report
 
 MODELS = ("micromodel", "persistence", "advection")
 
 STAGES = ("gen", "split", "train", "calibrate", "predict", "eval", "attribute", "report")
-
-
-class MissingArtifactError(FileNotFoundError):
-    """An upstream artifact required by this stage does not exist."""
 
 
 class ConfigError(ValueError):
@@ -110,9 +109,16 @@ class RunConfig:
                 model=ModelConfig(**model_doc),
                 out_dir=doc.get("out_dir"),
             )
-            for key in ("thresholds", "windows_km"):
-                if not all(math.isfinite(v) and v > 0 for v in getattr(cfg, key)):
+            positive = {"thresholds": cfg.thresholds, "windows_km": cfg.windows_km,
+                        "timeline.days": (cfg.timeline_days,),
+                        "timeline.step_min": (cfg.step_min,)}
+            for key, values in positive.items():
+                if not all(math.isfinite(v) and v > 0 for v in values):
                     raise ConfigError(f"{key} must all be finite and positive")
+            if not (all(math.isfinite(v) and v >= 0 for v in (*cycle, cfg.blackout_h))
+                    and sum(cycle) > 0):
+                raise ConfigError("splits.cycle_days and blackout_h must be finite and "
+                                  "nonnegative, and cycle_days must sum above zero")
         except (TypeError, ValueError, KeyError) as e:
             if isinstance(e, ConfigError):
                 raise
@@ -158,32 +164,33 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact helpers
+# stage inputs
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    return path
+def _read(cfg: RunConfig, base: Path, load=None, force: bool = False):
+    """Every stage input comes through here: check that the artifact at
+    ``base`` was written under ``cfg``, then return ``load(base)``, or the
+    header itself for an artifact without a payload.
 
-
-def _check_hash(doc: dict, cfg: RunConfig, path: Path, force: bool) -> None:
-    if doc.get("config_hash") != cfg.hash and not force:
+    ``force`` waives the config check only; a loader always checks the payload.
+    """
+    header = artifact.read_header(base)
+    if header.get("config_hash") != cfg.hash and not force:
         raise ConfigError(
-            f"{path} was produced by config {doc.get('config_hash')}, current is {cfg.hash} "
-            "(use --force to override)"
+            f"{base.with_suffix('.json')} was produced by config {header.get('config_hash')}, "
+            f"current is {cfg.hash}; rerun the stage that writes it"
         )
+    return header if load is None else load(base)
 
 
-def _load_frames(out: Path) -> SourceStack:
-    _require(out / "frames.json")
-    _require(out / "frames.f32")
-    return load_raster(out / "frames")
-
-
-def _load_splits(out: Path) -> SplitAssignment:
-    doc = json.loads(_require(out / "splits.json").read_text())
-    return SplitAssignment(tuple(doc["timestamps_min"]), tuple(doc["labels"]))
+def _split_windows(cfg: RunConfig, out: Path, split: str):
+    """The frame stack and the origins of the windows inside one split."""
+    stack = _read(cfg, out / "frames", load_raster)
+    labels = _read(cfg, out / "splits")["labels"]
+    origins = _window_origins(labels, split, cfg.model.t_in, cfg.model.t_out)
+    if not origins:
+        raise ConfigError(f"no {split} windows fit inside the {split} split")
+    return stack, origins
 
 
 def _window_origins(labels, split: str, t_in: int, t_out: int):
@@ -215,35 +222,22 @@ def stage_gen(cfg: RunConfig, out: Path) -> None:
     stack = SourceStack(
         frames[:, None], cfg.scene.res_km, (0.0, 0.0), tuple(timestamps.tolist()), "rate"
     )
-    save_raster(out / "frames", stack)
-    manifest = {
-        "config_hash": cfg.hash,
-        "scene": asdict(cfg.scene),
-        "timeline": {"days": cfg.timeline_days, "step_min": cfg.step_min},
-        "n_frames": len(timestamps),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    save_raster(out / "frames", stack, extra={"config_hash": cfg.hash})
 
 
 def stage_split(cfg: RunConfig, out: Path) -> None:
-    stack = _load_frames(out)
+    stack = _read(cfg, out / "frames", load_raster)
     assignment = make_splits(stack.timesteps_min, cfg.cycle_days, cfg.blackout_h)
-    doc = {
+    artifact.write(out / "splits", {
         "config_hash": cfg.hash,
         "timestamps_min": list(assignment.timestamps_min),
         "labels": list(assignment.labels),
-    }
-    (out / "splits.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+    })
 
 
 def stage_train(cfg: RunConfig, out: Path) -> None:
-    stack = _load_frames(out)
-    assignment = _load_splits(out)
-    frames = stack.data[:, 0]
-    origins = _window_origins(assignment.labels, "train", cfg.model.t_in, cfg.model.t_out)
-    if not origins:
-        raise ConfigError("no training windows fit inside the train split")
-    dataset = _samples(frames, origins, cfg.model.t_in, cfg.model.t_out)
+    stack, origins = _split_windows(cfg, out, "train")
+    dataset = _samples(stack.data[:, 0], origins, cfg.model.t_in, cfg.model.t_out)
     params, curve = train(dataset, cfg.model, cfg.bins)
     save_checkpoint(out / "model", params, extra={"config_hash": cfg.hash})
     lines = ["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(curve)]
@@ -255,52 +249,27 @@ def _lead_minutes(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def stage_calibrate(cfg: RunConfig, out: Path) -> None:
-    stack = _load_frames(out)
-    assignment = _load_splits(out)
-    params = _load_model(cfg, out)
-    frames = stack.data[:, 0]
-    origins = _window_origins(assignment.labels, "val", cfg.model.t_in, cfg.model.t_out)
-    if not origins:
-        raise ConfigError("no calibration windows fit inside the val split")
+    stack, origins = _split_windows(cfg, out, "val")
+    params = _read(cfg, out / "model", load_checkpoint)
     cubes, masks = [], []
-    for inp, tgt in _samples(frames, origins, cfg.model.t_in, cfg.model.t_out):
+    for inp, tgt in _samples(stack.data[:, 0], origins, cfg.model.t_in, cfg.model.t_out):
         cubes.append(predict(params, inp))
         masks.append(exceedance_masks(tgt, cfg.bins))
     table = calibrate_thresholds(cubes, masks, bins=cfg.bins, lead_min=_lead_minutes(cfg))
-    doc = {"config_hash": cfg.hash, "table": json.loads(table.to_json())}
-    (out / "thresholds.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def _load_model(cfg: RunConfig, out: Path) -> ParamSet:
-    _require(out / "model.json")
-    _require(out / "model.f32")
-    manifest = json.loads((out / "model.json").read_text())
-    _check_hash(manifest, cfg, out / "model.json", force=False)
-    return load_checkpoint(out / "model")
-
-
-def _load_thresholds(cfg: RunConfig, out: Path) -> ThresholdTable:
-    doc = json.loads(_require(out / "thresholds.json").read_text())
-    _check_hash(doc, cfg, out / "thresholds.json", force=False)
-    return ThresholdTable.from_json(json.dumps(doc["table"]), expect_edges=cfg.bins.edges)
+    artifact.write(out / "thresholds", {"config_hash": cfg.hash, "table": json.loads(table.to_json())})
 
 
 def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
-    stack = _load_frames(out)
-    assignment = _load_splits(out)
-    frames = stack.data[:, 0]
+    stack, origins = _split_windows(cfg, out, "test")
     t_in, t_out = cfg.model.t_in, cfg.model.t_out
-    origins = _window_origins(assignment.labels, "test", t_in, t_out)
-    if not origins:
-        raise ConfigError("no test windows fit inside the test split")
-
     rates_all, probs_all = [], []
     if model == "micromodel":
-        params = _load_model(cfg, out)
-        table = _load_thresholds(cfg, out)
-    for inp, _tgt in _samples(frames, origins, t_in, t_out):
+        params = _read(cfg, out / "model", load_checkpoint)
+        table = ThresholdTable.from_json(json.dumps(_read(cfg, out / "thresholds")["table"]),
+                                         expect_edges=cfg.bins.edges)
+    for inp, _tgt in _samples(stack.data[:, 0], origins, t_in, t_out):
         if model == "micromodel":
             cube = predict(params, inp)
             rates = extract_intensity(cube, table, cfg.bins)
@@ -314,52 +283,28 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
         rates = np.where(rates == SENTINEL, 0.0, rates)
         rates_all.append(rates)
 
-    rates_arr = np.stack(rates_all)
-    doc = {
+    arrays = [np.stack(rates_all)] + ([np.stack(probs_all)] if probs_all else [])
+    artifact.write(out / f"predictions_{model}", {
         "config_hash": cfg.hash,
         "model": model,
         "origin_indices": list(origins),
         "origins_min": [stack.timesteps_min[i] for i in origins],
         "lead_min": list(_lead_minutes(cfg)),
-        "shape": list(rates_arr.shape),
+        "shape": list(arrays[0].shape),
         "has_prob": bool(probs_all),
         "k_classes": cfg.bins.n_classes if probs_all else 0,
-    }
-    blobs = [np.ascontiguousarray(rates_arr, dtype="<f4").tobytes()]
-    if probs_all:
-        blobs.append(np.ascontiguousarray(np.stack(probs_all), dtype="<f4").tobytes())
-    (out / f"predictions_{model}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
-    (out / f"predictions_{model}.f32").write_bytes(b"".join(blobs))
-
-
-def _load_predictions(cfg: RunConfig, out: Path, model: str, force: bool):
-    doc = json.loads(_require(out / f"predictions_{model}.json").read_text())
-    _check_hash(doc, cfg, out / f"predictions_{model}.json", force)
-    raw = np.frombuffer((_require(out / f"predictions_{model}.f32")).read_bytes(), dtype="<f4")
-    raw = raw.astype(np.float64)
-    shape = tuple(doc["shape"])
-    n_rates = int(np.prod(shape))
-    rates = raw[:n_rates].reshape(shape)
-    probs = None
-    if doc["has_prob"]:
-        k = doc["k_classes"]
-        pshape = (shape[0], shape[1], k, shape[2], shape[3])
-        probs = raw[n_rates:].reshape(pshape)
-    return doc, rates, probs
+    }, arrays)
 
 
 def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
                plot_data: bool = False) -> None:
-    manifest = json.loads(_require(out / "manifest.json").read_text())
-    _check_hash(manifest, cfg, out / "manifest.json", force)
-    stack = _load_frames(out)
-    frames = stack.data[:, 0]
-    doc, rates, probs = _load_predictions(cfg, out, model, force)
+    frames = _read(cfg, out / "frames", load_raster, force).data[:, 0]
+    doc, (rates, *probs) = _read(cfg, out / f"predictions_{model}", artifact.read, force)
     t_out = cfg.model.t_out
     samples = []
     for j, i in enumerate(doc["origin_indices"]):
         obs = frames[i + 1 : i + 1 + t_out]
-        samples.append(EvalSample(rates[j], obs, None if probs is None else probs[j]))
+        samples.append(EvalSample(rates[j], obs, probs[0][j] if probs else None))
     rc = ReportConfig(
         thresholds=cfg.thresholds,
         windows_km=cfg.windows_km,
@@ -373,7 +318,7 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
     rep_doc = json.loads(report.to_json())
     rep_doc["config_hash"] = cfg.hash
     rep_doc["model"] = model
-    (out / f"report_{model}.json").write_text(json.dumps(rep_doc, sort_keys=True) + "\n")
+    artifact.write(out / f"report_{model}", rep_doc)
     if plot_data:
         lines = ["metric,threshold,lead_min,value"]
         for row in rep_doc["rows"]:
@@ -383,14 +328,9 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
 
 def stage_attribute(cfg: RunConfig, out: Path, lead: int = 0, class_index: int = 0,
                     steps: int = 64) -> None:
-    stack = _load_frames(out)
-    assignment = _load_splits(out)
-    params = _load_model(cfg, out)
-    frames = stack.data[:, 0]
-    origins = _window_origins(assignment.labels, "test", cfg.model.t_in, cfg.model.t_out)
-    if not origins:
-        raise ConfigError("no test windows to attribute")
-    inp = frames[origins[0] - cfg.model.t_in + 1 : origins[0] + 1]
+    stack, origins = _split_windows(cfg, out, "test")
+    params = _read(cfg, out / "model", load_checkpoint)
+    inp = stack.data[origins[0] - cfg.model.t_in + 1 : origins[0] + 1, 0]
     result = integrated_gradients(params, inp, (lead, class_index, None), steps=steps)
     names = _plane_names(cfg)
     lines = ["feature,importance"]
@@ -416,7 +356,7 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
     lines = ["model,metric,threshold,lead_min,value"]
     plot_lines = ["model,metric,threshold,lead_min,value"]
     for path in reports:
-        doc = json.loads(path.read_text())
+        doc = _read(cfg, path.with_suffix(""))
         model = doc["model"]
         for row in doc["rows"]:
             v = row["value"]
@@ -434,23 +374,8 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
 
 
 def run_stage(stage: str, cfg: RunConfig, out: Path, **kwargs) -> None:
+    """Run ``stage_<stage>`` with ``kwargs``.  The stage is looked up in this
+    module when called, so a stage patched onto the module is the one that runs."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    if stage == "gen":
-        stage_gen(cfg, out)
-    elif stage == "split":
-        stage_split(cfg, out)
-    elif stage == "train":
-        stage_train(cfg, out)
-    elif stage == "calibrate":
-        stage_calibrate(cfg, out)
-    elif stage == "predict":
-        stage_predict(cfg, out, kwargs["model"])
-    elif stage == "eval":
-        stage_eval(cfg, out, kwargs["model"], kwargs.get("force", False),
-                   kwargs.get("plot_data", False))
-    elif stage == "attribute":
-        stage_attribute(cfg, out, kwargs.get("lead", 0), kwargs.get("class_index", 0),
-                        kwargs.get("steps", 64))
-    elif stage == "report":
-        stage_report(cfg, out, kwargs.get("plot_data", False))
+    globals()[f"stage_{stage}"](cfg, out, **kwargs)

@@ -8,11 +8,12 @@ Coordinate convention: origin at the top-left corner, x to the right, y
 downward, both in km.  All transforms are pure functions over their inputs.
 """
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from . import artifact
 
 SENTINEL = -1.0
 
@@ -228,48 +229,28 @@ def align_center(s: SourceStack, target_extent_km: tuple[float, float]) -> Sourc
 
 
 # ---------------------------------------------------------------------------
-# portable raster files: <base>.json header + <base>.f32 payload
+# portable raster files: an artifact (see artifact.py) with one array
 
 
-def save_raster(base: str | Path, obj: Raster | SourceStack) -> None:
-    """Write a raster or single-channel stack as a JSON header + raw f32 payload."""
-    base = Path(base)
+def save_raster(base: str | Path, obj: Raster | SourceStack, extra: dict | None = None) -> None:
+    """Write a raster or single-channel stack, plus the ``extra`` header fields."""
+    header = {"res_km": obj.res_km, "origin_km": list(obj.origin_km), "kind": obj.kind}
     if isinstance(obj, Raster):
-        h, w = obj.values.shape
-        header = {
-            "h": h,
-            "w": w,
-            "res_km": obj.res_km,
-            "origin_km": list(obj.origin_km),
-            "kind": obj.kind,
-        }
         payload = obj.values
     else:
-        t, c, h, w = obj.data.shape
-        if c != 1:
+        if obj.data.shape[1] != 1:
             raise ValueError("raster files hold single-channel stacks")
-        header = {
-            "h": h,
-            "w": w,
-            "res_km": obj.res_km,
-            "origin_km": list(obj.origin_km),
-            "kind": obj.kind,
-            "timesteps_min": list(obj.timesteps_min),
-        }
+        header["timesteps_min"] = list(obj.timesteps_min)
         payload = obj.data
-    base.with_suffix(".json").write_text(json.dumps(header, sort_keys=True) + "\n")
-    base.with_suffix(".f32").write_bytes(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+    header["h"], header["w"] = payload.shape[-2:]
+    artifact.write(base, {**header, **(extra or {})}, [payload])
 
 
 def load_raster(base: str | Path) -> Raster | SourceStack:
-    """Read a raster file pair written by :func:`save_raster`."""
-    base = Path(base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    raw = np.frombuffer(base.with_suffix(".f32").read_bytes(), dtype="<f4").astype(np.float64)
-    h, w = header["h"], header["w"]
+    """Read a raster artifact written by :func:`save_raster`."""
+    header, (data,) = artifact.read(base)
     origin = tuple(header["origin_km"])
     if "timesteps_min" in header:
-        steps = header["timesteps_min"]
-        data = raw.reshape(len(steps), 1, h, w)
-        return SourceStack(data, header["res_km"], origin, tuple(steps), header["kind"])
-    return Raster(raw.reshape(h, w), header["res_km"], origin, header["kind"])
+        return SourceStack(data, header["res_km"], origin, tuple(header["timesteps_min"]),
+                           header["kind"])
+    return Raster(data, header["res_km"], origin, header["kind"])

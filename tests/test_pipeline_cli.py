@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -63,10 +64,14 @@ class TestConfig:
         ("thresholds", [-1.0]),
         ("windows_km", [-10.0]),
         ("windows_km", [0.0, 10.0]),
+        ("timeline.step_min", 0.0),
+        ("timeline.days", -4.0),
+        ("splits.cycle_days", [0.0, 0.0, 0.0]),
     ])
     def test_nonpositive_scores_rejected(self, tmp_path, key, values):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc[key] = values
+        parent, _, leaf = key.rpartition(".")
+        (doc[parent] if parent else doc)[leaf] = values
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
@@ -131,6 +136,59 @@ class TestStages:
         cfg = RunConfig.from_dict(BASE_CONFIG)
         with pytest.raises(ConfigError):
             run_stage("deploy", cfg, None)
+
+    def test_stale_upstream_input_is_exit_three(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        other = write_config(tmp_path, {**BASE_CONFIG, "seed": 99}, name="other.json")
+        assert main(["split", "--config", str(other), "--out", str(out)]) == 3
+
+
+@pytest.fixture(scope="module")
+def predicted_run(tmp_path_factory):
+    """A run directory through ``predict --model micromodel``, copied per test."""
+    root = tmp_path_factory.mktemp("predicted")
+    path, out = write_config(root), root / "out"
+    for stage in ("gen", "split", "train", "calibrate"):
+        assert main([stage, "--config", str(path), "--out", str(out)]) == 0
+    assert main(["predict", "--config", str(path), "--out", str(out), "--model", "micromodel"]) == 0
+    return out
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 3] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("name,damage,stage", [
+        ("model.f32", _truncate, ["calibrate"]),
+        ("frames.f32", _truncate, ["split"]),
+        ("predictions_micromodel.f32", _flip_byte, ["eval", "--model", "micromodel"]),
+        ("model.json", _truncate, ["attribute"]),
+    ])
+    def test_next_stage_exits_two(self, tmp_path, capsys, predicted_run, name, damage, stage):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        damage(out / name)
+        assert main([*stage, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and "Traceback" not in err
+
+    def test_force_does_not_waive_integrity(self, tmp_path, predicted_run):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        drifted = write_config(tmp_path, {**BASE_CONFIG, "seed": 99}, name="drifted.json")
+        args = ["eval", "--config", str(drifted), "--out", str(out), "--model", "micromodel", "--force"]
+        assert main(args) == 0
+        _flip_byte(out / "predictions_micromodel.f32")
+        assert main(args) == 2
 
 
 class TestFullPipeline:

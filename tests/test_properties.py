@@ -1,5 +1,9 @@
 """Property tests: invariants of the loss and reconstruction math checked on
-generated shapes, sentinel holes and lead weights."""
+generated shapes, sentinel holes and lead weights, and of the artifact codec
+checked on generated arrays and damage."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from raincast import artifact
 from raincast.intensity import BinSet, exceedance_masks
 from raincast.probcast import (
     LeadWeights,
@@ -68,3 +73,40 @@ class TestMonotoneReconstruction:
         p = bucket_probs_to_exceedance(probs)
         assert p.shape[-3] == probs.shape[-3] - 1
         assert np.all(np.diff(p, axis=-3) <= 0)
+
+
+def f32_arrays(min_side=0):
+    shapes = st.lists(st.integers(min_side, 4), max_size=3).map(tuple)
+    return shapes.flatmap(lambda shape: arrays(
+        np.float32, shape, elements=st.floats(width=32, allow_nan=False)))
+
+
+class TestArtifactCodec:
+    @SETTINGS
+    @given(st.lists(f32_arrays(), max_size=4), st.dictionaries(
+        st.sampled_from(["config_hash", "kind", "step"]), st.integers() | st.text()))
+    def test_round_trip_is_bit_exact(self, blobs, fields):
+        with tempfile.TemporaryDirectory() as tmp:
+            artifact.write(Path(tmp) / "a", fields, blobs)
+            header, back = artifact.read(Path(tmp) / "a")
+        assert {k: header[k] for k in fields} == fields
+        assert len(back) == len(blobs)
+        for got, want in zip(back, blobs):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.astype(np.float32).tobytes() == want.tobytes()
+
+    @SETTINGS
+    @given(st.lists(f32_arrays(min_side=1), min_size=1, max_size=3), st.data())
+    def test_truncation_or_changed_byte_is_damage(self, blobs, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            artifact.write(Path(tmp) / "a", {}, blobs)
+            payload = Path(tmp) / "a.f32"
+            raw = bytearray(payload.read_bytes())
+            if data.draw(st.booleans(), label="truncate"):
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+            else:
+                raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+                    st.integers(1, 255), label="xor")
+            payload.write_bytes(bytes(raw))
+            with pytest.raises(artifact.DamagedArtifactError):
+                artifact.read(Path(tmp) / "a")
