@@ -9,6 +9,7 @@ in nowcasting).
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .raster import SENTINEL
 
@@ -36,24 +37,6 @@ def persistence(frame: np.ndarray, t_out: int) -> np.ndarray:
     return np.repeat(frame[None], int(t_out), axis=0)
 
 
-def _masked_msd(f_prev: np.ndarray, f_next: np.ndarray, sy: int, sx: int) -> float:
-    """Mean squared difference between f_next and f_prev shifted by (sy, sx),
-    over the overlapping valid region; inf when there is no overlap."""
-    h, w = f_prev.shape
-    y0, y1 = max(0, sy), min(h, h + sy)
-    x0, x1 = max(0, sx), min(w, w + sx)
-    if y0 >= y1 or x0 >= x1:
-        return np.inf
-    a = f_next[y0:y1, x0:x1]
-    b = f_prev[y0 - sy : y1 - sy, x0 - sx : x1 - sx]
-    m = (a != SENTINEL) & (b != SENTINEL)
-    n = int(m.sum())
-    if n == 0:
-        return np.inf
-    d = np.where(m, a - b, 0.0)
-    return float((d * d).sum() / n)
-
-
 def _subpixel(m_minus: float, m0: float, m_plus: float) -> float:
     """Quadratic-fit offset of the minimum of three equally spaced samples."""
     denom = m_minus - 2.0 * m0 + m_plus
@@ -63,12 +46,32 @@ def _subpixel(m_minus: float, m0: float, m_plus: float) -> float:
     return float(np.clip(off, -0.5, 0.5))
 
 
-def _pair_motion(f_prev: np.ndarray, f_next: np.ndarray, search: int):
-    shifts = range(-search, search + 1)
+def _msd_surface(f_prev: np.ndarray, f_next: np.ndarray, search: int) -> np.ndarray:
+    """msd[iy, ix]: mean squared difference of f_next and f_prev shifted by
+    (iy - search, ix - search) over their overlapping valid pixels, inf without
+    overlap.  Filled one shift row at a time: window k of a column-padded row
+    block is f_prev shifted by search - k along x."""
+    h, w = f_prev.shape
+    pad = ((0, 0), (search, search))
+    prev = sliding_window_view(np.pad(f_prev, pad), w, axis=1)
+    ok_prev = sliding_window_view(np.pad(f_prev != SENTINEL, pad), w, axis=1)
+    ok_next = f_next != SENTINEL
     msd = np.full((2 * search + 1, 2 * search + 1), np.inf)
-    for iy, sy in enumerate(shifts):
-        for ix, sx in enumerate(shifts):
-            msd[iy, ix] = _masked_msd(f_prev, f_next, sy, sx)
+    for iy in range(2 * search + 1):
+        sy = iy - search
+        y0, y1 = max(0, sy), min(h, h + sy)
+        if y0 >= y1:
+            continue
+        rows = slice(y0 - sy, y1 - sy)
+        m = ok_prev[rows].transpose(1, 0, 2) & ok_next[y0:y1]
+        d = (f_next[y0:y1] - prev[rows].transpose(1, 0, 2)) * m
+        n = np.count_nonzero(m, axis=(1, 2))
+        msd[iy, ::-1] = np.where(n > 0, np.einsum("kij,kij->k", d, d) / np.maximum(n, 1), np.inf)
+    return msd
+
+
+def _pair_motion(f_prev: np.ndarray, f_next: np.ndarray, search: int):
+    msd = _msd_surface(f_prev, f_next, search)
     best = msd.min()
     # prefer the shift closest to zero among ties (featureless frames match everywhere)
     ties = np.argwhere(msd == best)
@@ -102,18 +105,16 @@ def estimate_motion(frames: np.ndarray, search: int = 16) -> MotionField:
     Each consecutive pair contributes an integer-shift estimate that
     minimizes the masked mean squared difference within +/- ``search`` px,
     refined to sub-pixel by a quadratic fit around the minimum; the pair
-    estimates are averaged.  Featureless or pure-noise inputs yield a motion
-    near zero flagged ``low_confidence``.
+    estimates are averaged.  The (2 search + 1)^2 surface of mean squared
+    differences is computed one shift row at a time from windowed views of
+    the zero-padded earlier frame and its validity mask, with per-shift
+    counts and sums from axis reductions.  Featureless or pure-noise inputs
+    yield a motion near zero flagged ``low_confidence``.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[0] < 2:
         raise ValueError("need at least two frames")
-    vxs, vys, flats = [], [], []
-    for i in range(frames.shape[0] - 1):
-        vx, vy, flat = _pair_motion(frames[i], frames[i + 1], int(search))
-        vxs.append(vx)
-        vys.append(vy)
-        flats.append(flat)
+    vxs, vys, flats = zip(*(_pair_motion(a, b, int(search)) for a, b in zip(frames, frames[1:])))
     return MotionField(float(np.mean(vxs)), float(np.mean(vys)), low_confidence=all(flats))
 
 

@@ -12,10 +12,10 @@ Subcommands mirror the pipeline stages::
     raincast report    --config run.json --out runs/demo
 
 Every stage checks each artifact it reads: that it exists, that its header is
-valid JSON, that the config hash in it matches the current config (``eval
---force`` waives only this check) and, for ``frames``, ``model`` and
-``predictions_<model>``, that the ``.f32`` payload has the length and sha256
-its header records.
+valid JSON and holds the fields the stage reads, that the config hash in it
+matches the current config (``eval --force`` waives only this check) and, for
+``frames``, ``model`` and ``predictions_<model>``, that the ``.f32`` payload
+has the length and sha256 its header records.
 
 Exit codes: 0 success, 2 missing or damaged upstream artifact (the message
 names the path), 3 configuration/schema violation, including an artifact

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import artifact
 from . import baseline as bl
-from .artifact import MissingArtifactError
+from .artifact import DamagedArtifactError, MissingArtifactError
 from .attribution import integrated_gradients
 from .intensity import BinSet, exceedance_masks
 from .micromodel import (
@@ -167,26 +167,46 @@ class RunConfig:
 # stage inputs
 
 
-def _read(cfg: RunConfig, base: Path, load=None, force: bool = False):
+def _has(node, path: list) -> bool:
+    """Whether ``node`` holds the field at ``path``; a ``*`` step requires the
+    rest of the path in every item of a list."""
+    if not path:
+        return True
+    head, *rest = path
+    if head == "*":
+        return isinstance(node, list) and all(_has(item, rest) for item in node)
+    return isinstance(node, dict) and head in node and _has(node[head], rest)
+
+
+def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
     """Every stage input comes through here: check that the artifact at
-    ``base`` was written under ``cfg``, then return ``load(base)``, or the
+    ``base`` was written under ``cfg`` and that its header holds every dotted
+    field in ``keys`` the stage reads, then return ``load(base)``, or the
     header itself for an artifact without a payload.
 
     ``force`` waives the config check only; a loader always checks the payload.
+    A missing field, or a header field a loader lacks, is damage (exit 2).
     """
     header = artifact.read_header(base)
+    path = base.with_suffix(".json")
     if header.get("config_hash") != cfg.hash and not force:
         raise ConfigError(
-            f"{base.with_suffix('.json')} was produced by config {header.get('config_hash')}, "
+            f"{path} was produced by config {header.get('config_hash')}, "
             f"current is {cfg.hash}; rerun the stage that writes it"
         )
-    return header if load is None else load(base)
+    missing = [key for key in keys if not _has(header, key.split("."))]
+    if missing:
+        raise DamagedArtifactError(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        return header if load is None else load(base)
+    except KeyError as e:
+        raise DamagedArtifactError(f"{path}: header lacks {e.args[0]}") from None
 
 
 def _split_windows(cfg: RunConfig, out: Path, split: str):
     """The frame stack and the origins of the windows inside one split."""
     stack = _read(cfg, out / "frames", load_raster)
-    labels = _read(cfg, out / "splits")["labels"]
+    labels = _read(cfg, out / "splits", keys=("labels",))["labels"]
     origins = _window_origins(labels, split, cfg.model.t_in, cfg.model.t_out)
     if not origins:
         raise ConfigError(f"no {split} windows fit inside the {split} split")
@@ -267,8 +287,8 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
     rates_all, probs_all = [], []
     if model == "micromodel":
         params = _read(cfg, out / "model", load_checkpoint)
-        table = ThresholdTable.from_json(json.dumps(_read(cfg, out / "thresholds")["table"]),
-                                         expect_edges=cfg.bins.edges)
+        table = _read(cfg, out / "thresholds", keys=("table.thresholds", "table.edges"))["table"]
+        table = ThresholdTable.from_json(json.dumps(table), expect_edges=cfg.bins.edges)
     for inp, _tgt in _samples(stack.data[:, 0], origins, t_in, t_out):
         if model == "micromodel":
             cube = predict(params, inp)
@@ -299,7 +319,8 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
 def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
                plot_data: bool = False) -> None:
     frames = _read(cfg, out / "frames", load_raster, force).data[:, 0]
-    doc, (rates, *probs) = _read(cfg, out / f"predictions_{model}", artifact.read, force)
+    doc, (rates, *probs) = _read(cfg, out / f"predictions_{model}", artifact.read, force,
+                                 keys=("origin_indices", "lead_min"))
     t_out = cfg.model.t_out
     samples = []
     for j, i in enumerate(doc["origin_indices"]):
@@ -356,7 +377,8 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
     lines = ["model,metric,threshold,lead_min,value"]
     plot_lines = ["model,metric,threshold,lead_min,value"]
     for path in reports:
-        doc = _read(cfg, path.with_suffix(""))
+        doc = _read(cfg, path.with_suffix(""), keys=(
+            "model", "macro", *(f"rows.*.{k}" for k in ("metric", "threshold", "lead_min", "value"))))
         model = doc["model"]
         for row in doc["rows"]:
             v = row["value"]

@@ -36,25 +36,33 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
+def _events(pred, obs, threshold, valid=None):
+    """Events (rate >= threshold) of pred and obs, False where obs is invalid
+    (by default, where it is the sentinel), and the validity mask."""
+    pred = np.asarray(pred, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    if pred.shape != obs.shape:
+        raise ValueError("pred/obs shape mismatch")
+    valid = np.broadcast_to(obs != SENTINEL if valid is None else np.asarray(valid, bool), obs.shape)
+    return (pred >= threshold) & valid, (obs >= threshold) & valid, valid
+
+
+def _counts(pe, oe, n, axis=(-2, -1)) -> tuple:
+    """Hits, false alarms, misses and correct negatives over ``axis`` of two
+    event arrays that are already False off the domain of ``n`` cells."""
+    tp = np.count_nonzero(pe & oe, axis=axis)
+    fp = np.count_nonzero(pe, axis=axis) - tp
+    fn = np.count_nonzero(oe, axis=axis) - tp
+    return tp, fp, fn, n - tp - fp - fn
+
+
 def accumulate_confusion(pred, obs, threshold: float, valid=None) -> ConfusionCounts:
     """Count hits/false alarms/misses/correct negatives over valid pixels.
 
     An event is rate >= threshold, on both the prediction and observation side.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    if pred.shape != obs.shape:
-        raise ValueError("pred/obs shape mismatch")
-    if valid is None:
-        valid = obs != SENTINEL
-    pe = pred >= threshold
-    oe = obs >= threshold
-    return ConfusionCounts(
-        tp=int(np.sum(pe & oe & valid)),
-        fp=int(np.sum(pe & ~oe & valid)),
-        fn=int(np.sum(~pe & oe & valid)),
-        tn=int(np.sum(~pe & ~oe & valid)),
-    )
+    pe, oe, valid = _events(pred, obs, threshold, valid)
+    return ConfusionCounts(*map(int, _counts(pe, oe, np.count_nonzero(valid), axis=None)))
 
 
 def categorical_scores(c: ConfusionCounts) -> dict:
@@ -71,33 +79,39 @@ def categorical_scores(c: ConfusionCounts) -> dict:
 # neighborhood scores
 
 
-def _box_fractions(binary: np.ndarray, window: int) -> np.ndarray:
-    """Event fraction in each window; windows are truncated at the edges and
-    normalized by the number of cells actually inside the domain."""
-    h, w = binary.shape
-    half = window // 2
-    padded = np.pad(binary.astype(np.float64), half)
-    sums = sliding_window_view(padded, (window, window)).sum(axis=(2, 3))
-    ones = np.pad(np.ones((h, w)), half)
-    counts = sliding_window_view(ones, (window, window)).sum(axis=(2, 3))
-    return sums / counts
+def _fss_sums(pe, oe, windows) -> list:
+    """FSS numerator and denominator sums over the last two axes of two
+    (..., H, W) event arrays, one (num, den) pair of arrays per window.  Event
+    fractions come from one summed-area table per array (Faggian et al. 2015),
+    with windows truncated at the edges and normalized by the in-domain cells."""
+    h, w = pe.shape[-2:]
+    tables = [np.zeros(e.shape[:-2] + (h + 1, w + 1)) for e in (pe, oe)]
+    for e, table in zip((pe, oe), tables):
+        np.cumsum(np.cumsum(e, axis=-2, dtype=np.float64), axis=-1, out=table[..., 1:, 1:])
+    out = []
+    for window in windows:
+        half = window // 2
+        y0, y1, x0, x1 = (np.clip(np.arange(n) + d, 0, n) for n in (h, w) for d in (-half, half + 1))
+        cells = np.outer(y1 - y0, x1 - x0)
+        # C order keeps the reductions below summing in the same order as on one field
+        f, o = (np.ascontiguousarray((rows[..., x1] - rows[..., x0]) / cells)
+                for rows in (t[..., y1, :] - t[..., y0, :] for t in tables))
+        out.append((np.sum((f - o) ** 2, axis=(-2, -1)),
+                    np.sum(f**2, axis=(-2, -1)) + np.sum(o**2, axis=(-2, -1))))
+    return out
 
 
 def fss_components(pred_bin, obs_bin, window: int) -> tuple[float, float]:
     """Numerator and denominator sums of the fractions skill score, for
     accumulation across samples."""
-    pred_bin = np.asarray(pred_bin)
-    obs_bin = np.asarray(obs_bin)
+    pred_bin, obs_bin = np.asarray(pred_bin), np.asarray(obs_bin)
     if pred_bin.shape != obs_bin.shape:
         raise ValueError("pred/obs shape mismatch")
     window = int(window)
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
-    f = _box_fractions(pred_bin, window)
-    o = _box_fractions(obs_bin, window)
-    num = float(np.sum((f - o) ** 2))
-    den = float(np.sum(f**2) + np.sum(o**2))
-    return num, den
+    ((num, den),) = _fss_sums(pred_bin, obs_bin, [window])
+    return float(num), float(den)
 
 
 def fss(pred_bin, obs_bin, window: int) -> float:
@@ -117,11 +131,14 @@ def fss_window_px(neigh_km: float, res_km: float) -> int:
     return 2 * round(neigh_km / (2.0 * res_km)) + 1
 
 
-def _max_pool(binary: np.ndarray, pool: int) -> np.ndarray:
-    h, w = binary.shape
+def _pooled_counts(pe, oe, pool: int) -> tuple:
+    """:func:`_counts` after max-pooling both event arrays in pool x pool blocks."""
+    h, w = pe.shape[-2:]
     if h % pool or w % pool:
         raise ValueError(f"pool {pool} does not divide {h}x{w}")
-    return binary.reshape(h // pool, pool, w // pool, pool).max(axis=(1, 3))
+    pe, oe = (e.reshape(*e.shape[:-2], h // pool, pool, w // pool, pool).any(axis=(-3, -1))
+              for e in (pe, oe))
+    return _counts(pe, oe, (h // pool) * (w // pool))
 
 
 def pooled_confusion(pred, obs, pool: int, threshold: float, valid=None) -> ConfusionCounts:
@@ -129,18 +146,8 @@ def pooled_confusion(pred, obs, pool: int, threshold: float, valid=None) -> Conf
 
     Invalid observation pixels count as non-events before pooling.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    if valid is None:
-        valid = obs != SENTINEL
-    pe = _max_pool((pred >= threshold) & valid, int(pool))
-    oe = _max_pool((obs >= threshold) & valid, int(pool))
-    return ConfusionCounts(
-        tp=int(np.sum(pe & oe)),
-        fp=int(np.sum(pe & ~oe)),
-        fn=int(np.sum(~pe & oe)),
-        tn=int(np.sum(~pe & ~oe)),
-    )
+    pe, oe, _ = _events(pred, obs, threshold, valid)
+    return ConfusionCounts(*map(int, _pooled_counts(pe, oe, int(pool))))
 
 
 def pooled_csi(pred, obs, pool: int, threshold: float, valid=None) -> float:
@@ -148,17 +155,20 @@ def pooled_csi(pred, obs, pool: int, threshold: float, valid=None) -> float:
     return categorical_scores(pooled_confusion(pred, obs, pool, threshold, valid))["csi"]
 
 
+def _error_sums(pred, obs, valid, axis=None) -> tuple:
+    """Absolute and squared error sums and valid-pixel count along ``axis``."""
+    diff = np.where(valid, pred - obs, 0.0)
+    return np.abs(diff).sum(axis=axis), (diff**2).sum(axis=axis), np.count_nonzero(valid, axis=axis)
+
+
 def error_scores(pred, obs, valid=None) -> dict:
     """Mean absolute and mean squared error over valid pixels."""
     pred = np.asarray(pred, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
-    if valid is None:
-        valid = obs != SENTINEL
-    n = int(valid.sum())
+    abs_sum, sq_sum, n = _error_sums(pred, obs, obs != SENTINEL if valid is None else valid)
     if n == 0:
         return {"mae": math.nan, "mse": math.nan}
-    diff = np.where(valid, pred - obs, 0.0)
-    return {"mae": float(np.abs(diff).sum() / n), "mse": float((diff**2).sum() / n)}
+    return {"mae": float(abs_sum / n), "mse": float(sq_sum / n)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,62 +307,49 @@ class SkillReport:
 def build_report(samples, config: ReportConfig) -> SkillReport:
     """Micro-aggregate a stream of :class:`EvalSample` into a skill report.
 
-    Confusion counts, FSS numerators/denominators, error sums and CRPS sums
-    are accumulated over all samples and pixels per (threshold, lead time);
+    Each sample is scored on whole arrays: its (T, n_thresholds, H, W) event
+    cubes are built once, masked by the valid observations, and confusion
+    counts, max-pooled counts and the FSS sums of every window come from axis
+    reductions and one summed-area table per cube.  These, the error, SSIM
+    and CRPS sums are accumulated per (threshold, lead time) in sample order;
     scores are computed once at the end.
     """
     windows = [fss_window_px(km, config.res_km) for km in config.windows_km]
-    conf: dict = {}
-    pooled: dict = {}
-    fss_acc: dict = {}
-    err_acc: dict = {}
-    crps_acc: dict = {}
-    ssim_acc: dict = {}
+    thresholds = np.asarray(config.thresholds, dtype=np.float64)[:, None, None]
+    conf, pooled, fss_acc, err_acc, crps_acc, ssim_acc = {}, {}, {}, {}, {}, {}
     lead_min = list(config.lead_min)
     n_samples = 0
 
+    def add(acc, key, *values):
+        sums = acc.setdefault(key, [0] * len(values))
+        for j, v in enumerate(values):
+            sums[j] += v
+
     for s in samples:
         n_samples += 1
-        t_steps = s.pred.shape[0]
-        if not lead_min:
-            lead_min = list(range(t_steps))
-        for t in range(t_steps):
-            pred, obs = s.pred[t], s.obs[t]
-            valid = obs != SENTINEL
-            for th in config.thresholds:
-                key = (th, t)
-                conf[key] = conf.get(key, ConfusionCounts()) + accumulate_confusion(
-                    pred, obs, th, valid
-                )
-                pe = (pred >= th) & valid
-                oe = (obs >= th) & valid
-                for w_px, w_km in zip(windows, config.windows_km):
-                    num, den = fss_components(pe, oe, w_px)
-                    a = fss_acc.setdefault((th, w_km, t), [0.0, 0.0])
-                    a[0] += num
-                    a[1] += den
-                for pool in config.pools:
-                    pooled[(th, pool, t)] = pooled.get(
-                        (th, pool, t), ConfusionCounts()
-                    ) + pooled_confusion(pred, obs, pool, th, valid)
-            n = int(valid.sum())
-            a = err_acc.setdefault(t, [0.0, 0.0, 0])
-            if n:
-                diff = np.where(valid, pred - obs, 0.0)
-                a[0] += float(np.abs(diff).sum())
-                a[1] += float((diff**2).sum())
-                a[2] += n
-            if valid.all() and min(pred.shape) >= 11:
-                a = ssim_acc.setdefault(t, [0.0, 0])
-                a[0] += ssim(pred, obs)
-                a[1] += 1
+        pred = np.asarray(s.pred, dtype=np.float64)
+        obs = np.asarray(s.obs, dtype=np.float64)
+        lead_min = lead_min or list(range(pred.shape[0]))
+        pe, oe, valid = _events(pred[:, None], obs[:, None], thresholds)
+        counts = np.stack(_counts(pe, oe, np.count_nonzero(valid, axis=(-2, -1))), axis=-1)
+        pool_counts = [np.stack(_pooled_counts(pe, oe, int(p)), axis=-1) for p in config.pools]
+        fss_sums = _fss_sums(pe, oe, windows)
+        errors = _error_sums(pred, obs, valid[:, 0], axis=(1, 2))
+        for t in range(pred.shape[0]):
+            for i, th in enumerate(config.thresholds):
+                add(conf, (th, t), *counts[t, i].tolist())
+                for pool, c in zip(config.pools, pool_counts):
+                    add(pooled, (th, pool, t), *c[t, i].tolist())
+                for (num, den), w_km in zip(fss_sums, config.windows_km):
+                    add(fss_acc, (th, w_km, t), num[t, i].item(), den[t, i].item())
+            add(err_acc, t, *(e[t].item() for e in errors))
+            if valid[t, 0].all() and min(pred.shape[1:]) >= 11:
+                add(ssim_acc, t, ssim(pred[t], obs[t]), 1)
         if s.prob is not None and config.bins is not None:
-            for t in range(t_steps):
+            for t in range(pred.shape[0]):
                 r = crps(s.prob[t : t + 1], s.obs[t : t + 1], config.bins)
                 if not r.empty:
-                    a = crps_acc.setdefault(t, [0.0, 0])
-                    a[0] += r.value * r.count
-                    a[1] += r.count
+                    add(crps_acc, t, r.value * r.count, r.count)
 
     if n_samples == 0:
         raise ValueError("build_report needs at least one sample")
@@ -363,14 +360,15 @@ def build_report(samples, config: ReportConfig) -> SkillReport:
         return lead_min[t] if t < len(lead_min) else t
 
     for (th, t), c in sorted(conf.items()):
-        scores = categorical_scores(c)
+        scores = categorical_scores(ConfusionCounts(*c))
         for m in ("csi", "fbi", "hss"):
             report.rows.append((m, th, lead_label(t), scores[m]))
     for (th, w_km, t), (num, den) in sorted(fss_acc.items()):
         v = 1.0 if den == 0.0 else 1.0 - num / den
         report.rows.append((f"fss_{w_km:g}km", th, lead_label(t), v))
     for (th, pool, t), c in sorted(pooled.items()):
-        report.rows.append((f"pooled_csi_p{pool}", th, lead_label(t), categorical_scores(c)["csi"]))
+        csi = categorical_scores(ConfusionCounts(*c))["csi"]
+        report.rows.append((f"pooled_csi_p{pool}", th, lead_label(t), csi))
     for t, (abs_sum, sq_sum, n) in sorted(err_acc.items()):
         report.rows.append(("mae", "all", lead_label(t), abs_sum / n if n else math.nan))
         report.rows.append(("mse", "all", lead_label(t), sq_sum / n if n else math.nan))

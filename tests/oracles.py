@@ -69,6 +69,27 @@ def fss_loop(pred_bin, obs_bin, window):
     return 1.0 - num / den
 
 
+def fss_components_loop(pred_bin, obs_bin, window):
+    """The numerator and denominator sums behind :func:`fss_loop`, which a
+    report accumulates over samples."""
+    pred_bin = np.asarray(pred_bin, dtype=float)
+    obs_bin = np.asarray(obs_bin, dtype=float)
+    h, w = pred_bin.shape
+    half = window // 2
+    num = 0.0
+    den = 0.0
+    for i in range(h):
+        for j in range(w):
+            y0, y1 = max(0, i - half), min(h, i + half + 1)
+            x0, x1 = max(0, j - half), min(w, j + half + 1)
+            cells = (y1 - y0) * (x1 - x0)
+            f = pred_bin[y0:y1, x0:x1].sum() / cells
+            o = obs_bin[y0:y1, x0:x1].sum() / cells
+            num += (f - o) ** 2
+            den += f * f + o * o
+    return num, den
+
+
 def pooled_csi_loop(pred, obs, pool, threshold, valid=None):
     pred = np.asarray(pred, dtype=float)
     obs = np.asarray(obs, dtype=float)
@@ -174,3 +195,42 @@ def space_to_depth_loop(x, block):
                         for j in range(w // block):
                             out[ti, oc, i, j] = x[ti, ci, i * block + dy, j * block + dx]
     return out
+
+
+def msd_surface_loop(f_prev, f_next, search):
+    """Masked mean squared difference between f_next and f_prev shifted by
+    (sy, sx), one shift at a time, at [sy + search, sx + search]; inf where
+    the two share no valid pixel."""
+    h, w = f_prev.shape
+    out = np.full((2 * search + 1, 2 * search + 1), np.inf)
+    for iy, sy in enumerate(range(-search, search + 1)):
+        for ix, sx in enumerate(range(-search, search + 1)):
+            y0, y1 = max(0, sy), min(h, h + sy)
+            x0, x1 = max(0, sx), min(w, w + sx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            a = f_next[y0:y1, x0:x1]
+            b = f_prev[y0 - sy : y1 - sy, x0 - sx : x1 - sx]
+            m = (a != SENTINEL) & (b != SENTINEL)
+            n = int(m.sum())
+            if n:
+                d = np.where(m, a - b, 0.0)
+                out[iy, ix] = float((d * d).sum() / n)
+    return out
+
+
+def csi_curve_loop(p, events, candidates):
+    """CSI of the forecast p >= c against events for each candidate c, one
+    pixel at a time."""
+    out = []
+    for c in candidates:
+        tp = fp = fn = 0
+        for pi, e in zip(p, events):
+            if pi >= c and e:
+                tp += 1
+            elif pi >= c:
+                fp += 1
+            elif e:
+                fn += 1
+        out.append(csi_loop(tp, fp, fn))
+    return np.array(out)

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
+PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).  The two
+criteria that need the 2000-step trainings are marked ``slow``;
+``pytest -m "not slow"`` leaves them out.
 
 The two training-based criteria share one synthetic-advection setup:
 32x32 frames, cells moving at 2 px/step, batch 8, 2000 steps.  Evaluation
@@ -235,6 +237,7 @@ class TestCriterion5:
 
 
 class TestCriterion6:
+    @pytest.mark.slow
     def test_training_efficacy(self, main_training):
         cfg, params, curve, elapsed = main_training
         final, initial = float(np.mean(curve[-10:])), curve[0]
@@ -259,6 +262,7 @@ class TestCriterion6:
 
 
 class TestCriterion7:
+    @pytest.mark.slow
     def test_ablation_parity(self, main_training, ce_training):
         _, params, _, _ = main_training
         ce_cfg, ce_params, ce_curve = ce_training

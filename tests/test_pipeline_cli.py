@@ -181,6 +181,30 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         assert str(out / name) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,field,stage", [
+        ("splits.json", ["labels"], ["train"]),
+        ("thresholds.json", ["table", "thresholds"], ["predict", "--model", "micromodel"]),
+        ("predictions_micromodel.json", ["origin_indices"], ["eval", "--model", "micromodel"]),
+        ("report_micromodel.json", ["rows", 0, "value"], ["report"]),
+        ("model.json", ["has_ema"], ["calibrate"]),
+    ])
+    def test_header_without_a_field_exits_two(self, tmp_path, capsys, predicted_run, name,
+                                              field, stage):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        cfg = str(write_config(tmp_path))
+        if name.startswith("report_"):
+            assert main(["eval", "--config", cfg, "--out", str(out), "--model", "micromodel"]) == 0
+        doc = json.loads((out / name).read_text())
+        parent = doc
+        for step in field[:-1]:
+            parent = parent[step]
+        del parent[field[-1]]
+        (out / name).write_text(json.dumps(doc))
+        assert main([*stage, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and str(field[-1]) in err and "Traceback" not in err
+
     def test_force_does_not_waive_integrity(self, tmp_path, predicted_run):
         out = tmp_path / "out"
         shutil.copytree(predicted_run, out)

@@ -1,28 +1,32 @@
 """Property tests: invariants of the loss and reconstruction math checked on
-generated shapes, sentinel holes and lead weights, and of the artifact codec
-checked on generated arrays and damage."""
+generated shapes, sentinel holes and lead weights; the motion search, the
+space-to-depth rearrangement and the calibration CSI curve against their
+loop oracles; and the artifact codec on generated arrays and damage."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from raincast import artifact
+from raincast import artifact, baseline
 from raincast.intensity import BinSet, exceedance_masks
 from raincast.probcast import (
+    DEFAULT_CANDIDATES,
     LeadWeights,
+    _csi_curve,
     bucket_probs_to_exceedance,
     lead_time_weights,
     ordinal_loss,
     reconstruct,
 )
-from raincast.raster import SENTINEL
+from raincast.raster import SENTINEL, depth_to_space_array, space_to_depth_array
 
-from oracles import ordinal_loss_loop
+from oracles import csi_curve_loop, msd_surface_loop, ordinal_loss_loop, space_to_depth_loop
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -73,6 +77,80 @@ class TestMonotoneReconstruction:
         p = bucket_probs_to_exceedance(probs)
         assert p.shape[-3] == probs.shape[-3] - 1
         assert np.all(np.diff(p, axis=-3) <= 0)
+
+
+@st.composite
+def frame_pairs(draw):
+    """Two frames of pure noise, noise with sentinel holes, all zeros (every
+    shift ties) or a moving blob, and a search radius up to past the frame."""
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    search = draw(st.integers(1, max(h, w) + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "holes", "zeros", "blob"]))
+    if kind == "zeros":
+        return np.zeros((2, h, w)), search
+    if kind == "blob":
+        ys, xs = np.mgrid[0:h, 0:w]
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        dy, dx = rng.uniform(-2, 2, size=2)
+        frames = np.stack([np.exp(-((ys - cy - k * dy) ** 2 + (xs - cx - k * dx) ** 2) / 8.0)
+                           for k in (0, 1)])
+        return 5.0 * frames, search
+    frames = rng.uniform(0, 5, size=(2, h, w))
+    if kind == "holes":
+        frames[rng.uniform(size=frames.shape) < rng.uniform(0.1, 0.9)] = SENTINEL
+    return frames, search
+
+
+class TestMotionSearch:
+    @SETTINGS
+    @given(frame_pairs())
+    def test_surface_matches_shift_loop(self, case):
+        frames, search = case
+        got = baseline._msd_surface(frames[0], frames[1], search)
+        want = msd_surface_loop(frames[0], frames[1], search)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+
+    @SETTINGS
+    @given(frame_pairs())
+    def test_motion_matches_motion_from_loop_surface(self, case):
+        frames, search = case
+        # with no valid pixel pair at any shift there is nothing to estimate
+        assume(not np.isinf(msd_surface_loop(frames[0], frames[1], search)).all())
+        got = baseline.estimate_motion(frames, search)
+        with mock.patch.object(baseline, "_msd_surface", msd_surface_loop):
+            want = baseline.estimate_motion(frames, search)
+        assert got.vx == pytest.approx(want.vx, rel=1e-12, abs=1e-12)
+        assert got.vy == pytest.approx(want.vy, rel=1e-12, abs=1e-12)
+        assert got.low_confidence == want.low_confidence
+
+
+class TestSpaceToDepth:
+    @SETTINGS
+    @given(st.integers(1, 3), st.tuples(dims, dims, dims, dims))
+    def test_matches_loop_and_round_trips(self, block, shape):
+        t, c, h, w = shape
+        x = np.random.default_rng(sum(shape)).normal(size=(t, c, h * block, w * block))
+        packed = space_to_depth_array(x, block)
+        np.testing.assert_array_equal(packed, space_to_depth_loop(x, block))
+        np.testing.assert_array_equal(depth_to_space_array(packed, block), x)
+
+
+probs = st.floats(0.0, 1.0) | st.sampled_from(DEFAULT_CANDIDATES.tolist())
+
+
+class TestCsiCurve:
+    @SETTINGS
+    @given(st.lists(probs, min_size=1, max_size=40), st.data())
+    def test_matches_pixel_loop(self, p, data):
+        # probabilities drawn from the candidates too, so some sit exactly on one
+        events = np.array(data.draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p))))
+        cand = np.unique(data.draw(st.lists(probs.filter(lambda v: 0 < v < 1), min_size=1,
+                                            max_size=8)))
+        got = _csi_curve(np.array(p), events, cand)
+        np.testing.assert_array_equal(got, csi_curve_loop(p, events, cand))
 
 
 def f32_arrays(min_side=0):

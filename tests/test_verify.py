@@ -23,6 +23,7 @@ from oracles import (
     confusion_loop,
     csi_loop,
     fbi_loop,
+    fss_components_loop,
     fss_loop,
     hss_loop,
     pooled_csi_loop,
@@ -274,3 +275,48 @@ class TestBuildReport:
         assert report.value("csi", 0.5, 60.0) == 1.0
         assert math.isnan(report.value("csi", 1.0, 60.0))
         assert report.macro()["csi"] == 1.0
+
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_rows_match_loop_oracles(self, n_samples):
+        # sentinel holes in obs, a 12x16 field that the pools still divide,
+        # and a 21-px window (40 km) wider than the field
+        rng = np.random.default_rng(15)
+        cfg = ReportConfig(thresholds=(0.5, 1.5), windows_km=(2.0, 6.0, 40.0), pools=(2, 4),
+                           res_km=2.0, bins=None, lead_min=(60.0, 120.0))
+        samples = []
+        for _ in range(n_samples):
+            obs = rng.uniform(0, 3, size=(2, 12, 16))
+            obs[rng.uniform(size=obs.shape) < 0.15] = SENTINEL
+            samples.append(EvalSample(rng.uniform(0, 3, size=(2, 12, 16)), obs))
+        report = build_report(samples, cfg)
+        assert fss_window_px(40.0, 2.0) > 16
+
+        def same(got, want):
+            return (math.isnan(got) and math.isnan(want)) or got == want
+
+        for t, lead in enumerate(cfg.lead_min):
+            preds = [s.pred[t] for s in samples]
+            obss = [s.obs[t] for s in samples]
+            # side by side, the samples' pixels and pool blocks add up exactly
+            # as a report accumulates their counts
+            wide_p, wide_o = np.concatenate(preds, axis=1), np.concatenate(obss, axis=1)
+            for th in cfg.thresholds:
+                tp, fp, fn, tn = confusion_loop(wide_p, wide_o, th)
+                assert same(report.value("csi", th, lead), csi_loop(tp, fp, fn))
+                assert same(report.value("fbi", th, lead), fbi_loop(tp, fp, fn))
+                assert same(report.value("hss", th, lead), hss_loop(tp, fp, fn, tn))
+                for pool in cfg.pools:
+                    want = pooled_csi_loop(wide_p, wide_o, pool, th)
+                    assert same(report.value(f"pooled_csi_p{pool}", th, lead), want)
+                for w_km in cfg.windows_km:
+                    window = fss_window_px(w_km, cfg.res_km)
+                    events = [((p >= th) & (o != SENTINEL), (o >= th) & (o != SENTINEL))
+                              for p, o in zip(preds, obss)]
+                    if n_samples == 1:
+                        want = fss_loop(*events[0], window)
+                    else:
+                        num, den = np.sum([fss_components_loop(pe, oe, window)
+                                           for pe, oe in events], axis=0)
+                        want = 1.0 - num / den
+                    got = report.value(f"fss_{w_km:g}km", th, lead)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
