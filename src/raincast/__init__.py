@@ -19,7 +19,7 @@ from .probcast import (
     ordinal_loss,
     reconstruct,
 )
-from .raster import Raster, SENTINEL, SourceStack
+from .raster import SENTINEL, SourceStack
 from .verify import ConfusionCounts, EvalSample, ReportConfig, SkillReport, accumulate_confusion, build_report, categorical_scores, error_scores, fss, pooled_csi, ssim
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ which drives the forecast probabilities toward zero rain.
 
 import numpy as np
 
-from .micromodel import ModelConfig, ParamSet, encode_input, forward_encoded
+from .micromodel import ParamSet, encode_input, forward_encoded
 
 
 def integrated_gradients_fn(value_and_grad, x: np.ndarray, baseline: np.ndarray,
@@ -41,7 +41,7 @@ def integrated_gradients_fn(value_and_grad, x: np.ndarray, baseline: np.ndarray,
     }
 
 
-def _target_weights(config: ModelConfig, shape, target) -> np.ndarray:
+def _target_weights(shape, target) -> np.ndarray:
     """Constant weights selecting the target logits: (t, c, pixel set)."""
     t_idx, c_idx, pixels = target
     w = np.zeros(shape)
@@ -57,9 +57,9 @@ def _target_weights(config: ModelConfig, shape, target) -> np.ndarray:
     return w
 
 
-def integrated_gradients(params: ParamSet, frames: np.ndarray, target,
-                         steps: int = 64, config: ModelConfig | None = None):
-    """Attribute a sum of output logits to the encoded input planes.
+def integrated_gradients(params: ParamSet, frames: np.ndarray, target, steps: int = 64):
+    """Attribute a sum of output logits to the encoded input planes, under
+    ``params.config`` and with the raw parameter tensors.
 
     target: (lead index, class index, pixel set) where the pixel set is a
     boolean (H, W) mask, a list of (y, x) pairs, or None for the whole map.
@@ -68,7 +68,7 @@ def integrated_gradients(params: ParamSet, frames: np.ndarray, target,
     Returns the :func:`integrated_gradients_fn` dict plus ``per_channel``,
     the attribution summed over space per encoded input plane.
     """
-    config = params.config if config is None else config
+    config = params.config
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError("attribution runs on a single (t_in, H, W) sample")
@@ -79,10 +79,10 @@ def integrated_gradients(params: ParamSet, frames: np.ndarray, target,
 
     def value_and_grad(x_enc):
         nonlocal weights
-        out, tape, x_leaf = forward_encoded(params, x_enc[None], config)
+        out, tape, x_leaf = forward_encoded(params, x_enc[None])
         if weights is None:
             tgt = (0, *target[1:]) if config.mode == "lead-conditioned" else target
-            weights = _target_weights(config, out.value.shape, tgt)
+            weights = _target_weights(out.value.shape, tgt)
         scalar = tape.weighted_sum(out, weights)
         tape.backward(scalar)
         return float(scalar.value), x_leaf.grad[0]

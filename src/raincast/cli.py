@@ -12,7 +12,9 @@ Subcommands mirror the pipeline stages::
     raincast report    --config run.json --out runs/demo
 
 Every stage checks each artifact it reads: that it exists, that its header is
-valid JSON and holds the fields the stage reads, that the config hash in it
+valid JSON and holds the fields the stage reads in a form the stage can
+decode (a ``model.json`` config of known keys, a positive ``res_km``,
+threshold table edges equal to the configured bins), that the config hash in it
 matches the current config (``eval --force`` waives only this check) and, for
 ``frames``, ``model`` and ``predictions_<model>``, that the ``.f32`` payload
 has the length and sha256 its header records.

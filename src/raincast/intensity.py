@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import SENTINEL, SourceStack
+from .raster import SENTINEL
 
 # Marshall-Palmer Z-R relation, Z = a * R^b
 MP_A = 200.0
@@ -122,22 +122,22 @@ def classify(rate, bins: BinSet):
     return np.searchsorted(np.asarray(bins.edges), rate, side="right")
 
 
-def bucket_representative(bins: BinSet, c: int, top_rep: float | None = None) -> float:
+def bucket_representative(bins: BinSet, c: int) -> float:
     """Representative rate of bucket ``c``: 0 for no rain, midpoints for finite
-    buckets, the lower edge for the open top bucket (override via top_rep)."""
+    buckets, the lower edge for the open top bucket."""
     k = bins.n_classes
     if not 0 <= c <= k:
         raise ValueError(f"bucket index {c} outside 0..{k}")
     if c == 0:
         return 0.0
     if c == k:
-        return bins.edges[-1] if top_rep is None else float(top_rep)
+        return bins.edges[-1]
     return 0.5 * (bins.edges[c - 1] + bins.edges[c])
 
 
-def bucket_representatives(bins: BinSet, top_rep: float | None = None) -> np.ndarray:
+def bucket_representatives(bins: BinSet) -> np.ndarray:
     """Representatives of all K+1 buckets as a lookup array."""
-    return np.array([bucket_representative(bins, c, top_rep) for c in range(bins.n_classes + 1)])
+    return np.array([bucket_representative(bins, c) for c in range(bins.n_classes + 1)])
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,12 @@ class ClassMasks:
             raise ValueError("masks and valid shapes disagree")
 
 
-def exceedance_masks(target, bins: BinSet) -> ClassMasks:
-    """Build exceedance masks 1(R_t >= e_c) from rate frames.
+def exceedance_masks(rates, bins: BinSet) -> ClassMasks:
+    """Build exceedance masks 1(R_t >= e_c) from (T, H, W) rate frames.
 
-    ``target`` is a (T, H, W) rate array or a single-channel rate SourceStack.
     Mask entries at invalid pixels are zeroed but carry no meaning.
     """
-    if isinstance(target, SourceStack):
-        if target.kind != "rate":
-            raise ValueError("exceedance targets must be in rate mode")
-        rates = target.data[:, 0]
-    else:
-        rates = np.asarray(target, dtype=np.float64)
+    rates = np.asarray(rates, dtype=np.float64)
     valid = rates != SENTINEL
     edges = np.asarray(bins.edges)
     masks = (rates[:, None] >= edges[None, :, None, None]) & valid[:, None]

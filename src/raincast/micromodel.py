@@ -99,9 +99,6 @@ class ParamSet:
     def n_params(self) -> int:
         return sum(v.size for v in self.tensors.values())
 
-    def ema_or_raw(self) -> dict:
-        return self.ema if self.ema is not None else self.tensors
-
 
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> ParamSet:
     """Fan-in-scaled uniform kernels, zero biases, zero head.
@@ -151,14 +148,15 @@ def encode_input(frames: np.ndarray, config: ModelConfig, lead_idx: int | None =
     return np.concatenate(planes, axis=-3)
 
 
-def forward_encoded(params: ParamSet, x_enc: np.ndarray, config: ModelConfig | None = None):
-    """Network body on an already-encoded (B, C_in, H, W) input.
+def forward_encoded(params: ParamSet, x_enc: np.ndarray):
+    """Network body on an already-encoded (B, C_in, H, W) input, under
+    ``params.config``.
 
     Returns the pre-activation logits tensor shaped (B, T, classes, H, W),
     the tape, and the input leaf (whose .grad holds input attributions after
     a backward sweep).
     """
-    config = params.config if config is None else config
+    config = params.config
     h, w = x_enc.shape[-2:]
     if h % config.stem_block or w % config.stem_block:
         raise ValueError("frame size must be divisible by the stem block")
@@ -187,61 +185,51 @@ def forward_encoded(params: ParamSet, x_enc: np.ndarray, config: ModelConfig | N
     return out, tape, x
 
 
-def forward(
-    params: ParamSet,
-    frames: np.ndarray,
-    config: ModelConfig | None = None,
-    lead_idx: int | None = None,
-):
-    """Run the network on raw frames.
+def forward(params: ParamSet, frames: np.ndarray, lead_idx: int | None = None):
+    """Run the network on raw frames with the raw parameter tensors.
 
-    frames: (t_in, H, W) or (B, t_in, H, W) raw rates.  Returns the output
-    tensor -- sigmoid conditionals (ordinal) or bucket logits (ce) shaped
-    (B, T, classes, H, W) -- plus the tape and input leaf, so callers can
-    differentiate: ``out, tape, x = forward(...)``.
+    frames: (t_in, H, W) or (B, t_in, H, W) raw rates; ``lead_idx`` picks the
+    lead time in lead-conditioned mode.  Returns the output tensor -- sigmoid
+    conditionals (ordinal) or bucket logits (ce) shaped (B, T, classes, H, W),
+    T = 1 in lead-conditioned mode -- plus the tape and input leaf, so callers
+    can differentiate: ``out, tape, x = forward(...)``.
     """
-    config = params.config if config is None else config
+    config = params.config
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim == 3:
         frames = frames[None]
     if frames.shape[1] != config.t_in:
         raise ValueError(f"expected {config.t_in} input frames, got {frames.shape[1]}")
-    out, tape, x = forward_encoded(params, encode_input(frames, config, lead_idx), config)
+    out, tape, x = forward_encoded(params, encode_input(frames, config, lead_idx))
     if config.loss == "ordinal":
         out = tape.sigmoid(out)
     return out, tape, x
 
 
-def _predict_values(params: ParamSet, frames: np.ndarray, config: ModelConfig, use_ema: bool):
-    src = params.ema_or_raw() if use_ema else params.tensors
-    run = ParamSet(tensors=src, config=config, n_forward_calls=params.n_forward_calls)
-    if config.mode == "lead-conditioned":
-        per_lead = []
-        for t in range(config.t_out):
-            out, _, _ = forward(run, frames, config, lead_idx=t)
-            per_lead.append(out.value[:, 0])
-        raw = np.stack(per_lead, axis=1)
-    else:
-        out, _, _ = forward(run, frames, config)
-        raw = out.value
-    params.n_forward_calls = run.n_forward_calls
-    return raw
-
-
-def predict(params: ParamSet, frames: np.ndarray, config: ModelConfig | None = None,
-            use_ema: bool = True) -> np.ndarray:
+def predict(params: ParamSet, frames: np.ndarray) -> np.ndarray:
     """Exceedance probability cube(s) for raw input frames.
 
+    Runs on the EMA shadow when ``params`` has one, else on the raw tensors:
+    one forward pass in single-pass mode, one per lead time in
+    lead-conditioned mode, each counted in ``params.n_forward_calls``.
     Ordinal mode reconstructs cumulative products of the conditionals;
     cross-entropy mode applies softmax and tail-sums the bucket
     probabilities.  Either way the result is monotone nonincreasing across
     classes by construction.  Returns (T, K, H, W), or (B, T, K, H, W) for
     batched input.
     """
-    config = params.config if config is None else config
+    config = params.config
     frames = np.asarray(frames, dtype=np.float64)
     squeeze = frames.ndim == 3
-    raw = _predict_values(params, frames if not squeeze else frames[None], config, use_ema)
+    if squeeze:
+        frames = frames[None]
+    run = ParamSet(params.tensors if params.ema is None else params.ema, config)
+    if config.mode == "lead-conditioned":
+        raw = np.concatenate([forward(run, frames, lead_idx=t)[0].value
+                              for t in range(config.t_out)], axis=1)
+    else:
+        raw = forward(run, frames)[0].value
+    params.n_forward_calls += run.n_forward_calls
     if config.loss == "ordinal":
         cube = reconstruct(raw)
     else:
@@ -254,15 +242,15 @@ def predict(params: ParamSet, frames: np.ndarray, config: ModelConfig | None = N
 
 
 def batch_loss(params: ParamSet, inputs: np.ndarray, target_rates: np.ndarray,
-               bins: BinSet, weights, config: ModelConfig | None = None,
-               lead_idx: int | None = None):
-    """Tape-recorded loss of one batch; returns (loss_tensor, tape).
+               bins: BinSet, weights, lead_idx: int | None = None):
+    """Tape-recorded loss of one batch under ``params.config``; returns
+    (loss_tensor, tape).
 
     inputs: (B, t_in, H, W) raw frames; target_rates: (B, t_out, H, W).
     In lead-conditioned mode only the ``lead_idx`` slice of the targets is
     scored and lead weights do not apply.
     """
-    config = params.config if config is None else config
+    config = params.config
     cm = exceedance_masks(
         target_rates.reshape(-1, *target_rates.shape[-2:]), bins
     )
@@ -277,7 +265,7 @@ def batch_loss(params: ParamSet, inputs: np.ndarray, target_rates: np.ndarray,
     else:
         w = weights.w
 
-    out, tape, _ = forward(params, inputs, config, lead_idx=lead_idx)
+    out, tape, _ = forward(params, inputs, lead_idx=lead_idx)
     if config.loss == "ordinal":
         sel = _ordinal_selection(masks, valid)
         loss = tape.masked_bce(out, masks, sel, w[:, None, None, None])
@@ -286,22 +274,23 @@ def batch_loss(params: ParamSet, inputs: np.ndarray, target_rates: np.ndarray,
     return loss, tape
 
 
-def train(dataset, config: ModelConfig, bins: BinSet, params: ParamSet | None = None):
+def train(dataset, config: ModelConfig, bins: BinSet):
     """AdamW training loop over (input_frames, target_rates) samples.
 
     dataset: sequence of ((t_in, H, W), (t_out, H, W)) raw-rate pairs.  The
     sample order, batching and every reduction are fixed by ``config.seed``,
-    so reruns reproduce the loss curve exactly.  Returns the trained
-    :class:`ParamSet` and the per-step loss curve.
+    so reruns reproduce the loss curve exactly.  Training starts from
+    :func:`init_params`; returns the trained :class:`ParamSet` and the
+    per-step loss curve.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
-    params = init_params(config, rng) if params is None else params
+    params = init_params(config, rng)
     weights = lead_time_weights(config.alpha, config.t_out)
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(var) for k, var in params.tensors.items()}
-    if config.use_ema and params.ema is None:
+    if config.use_ema:
         params.ema = {k: val.copy() for k, val in params.tensors.items()}
 
     inputs = np.stack([s[0] for s in dataset])
@@ -321,7 +310,7 @@ def train(dataset, config: ModelConfig, bins: BinSet, params: ParamSet | None = 
         lead_idx = int(rng.integers(config.t_out)) if config.mode == "lead-conditioned" else None
 
         loss, tape = batch_loss(params, inputs[idx], targets[idx], bins, weights,
-                                config, lead_idx=lead_idx)
+                                lead_idx=lead_idx)
         loss_val = float(loss.value)
         if not np.isfinite(loss_val):
             raise DivergenceError(f"non-finite loss at step {step}")

@@ -31,7 +31,7 @@ from .micromodel import (
 from .probcast import ThresholdTable, calibrate_thresholds, extract_intensity
 from .raster import SENTINEL, SourceStack, load_raster, save_raster
 from .synthdata import SceneConfig, gen_sequence, make_splits
-from .verify import EvalSample, ReportConfig, build_report
+from .verify import EvalSample, ReportConfig, build_report, csv_row
 
 MODELS = ("micromodel", "persistence", "advection")
 
@@ -185,7 +185,8 @@ def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
     header itself for an artifact without a payload.
 
     ``force`` waives the config check only; a loader always checks the payload.
-    A missing field, or a header field a loader lacks, is damage (exit 2).
+    A missing field, a header field a loader lacks, or one it cannot decode is
+    damage (exit 2).
     """
     header = artifact.read_header(base)
     path = base.with_suffix(".json")
@@ -201,6 +202,8 @@ def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
         return header if load is None else load(base)
     except KeyError as e:
         raise DamagedArtifactError(f"{path}: header lacks {e.args[0]}") from None
+    except (TypeError, ValueError) as e:
+        raise DamagedArtifactError(f"{path}: {e}") from None
 
 
 def _split_windows(cfg: RunConfig, out: Path, split: str):
@@ -287,8 +290,9 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
     rates_all, probs_all = [], []
     if model == "micromodel":
         params = _read(cfg, out / "model", load_checkpoint)
-        table = _read(cfg, out / "thresholds", keys=("table.thresholds", "table.edges"))["table"]
-        table = ThresholdTable.from_json(json.dumps(table), expect_edges=cfg.bins.edges)
+        table = _read(cfg, out / "thresholds", lambda base: ThresholdTable.from_json(
+            json.dumps(artifact.read_header(base)["table"]), cfg.bins.edges),
+            keys=("table.thresholds", "table.edges"))
     for inp, _tgt in _samples(stack.data[:, 0], origins, t_in, t_out):
         if model == "micromodel":
             cube = predict(params, inp)
@@ -341,9 +345,7 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
     rep_doc["model"] = model
     artifact.write(out / f"report_{model}", rep_doc)
     if plot_data:
-        lines = ["metric,threshold,lead_min,value"]
-        for row in rep_doc["rows"]:
-            lines.append(f"{row['metric']},{row['threshold']},{row['lead_min']},{row['value']!r}")
+        lines = ["metric,threshold,lead_min,value"] + [csv_row(*row) for row in report.rows]
         (out / f"plot_{model}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -374,22 +376,15 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
     reports = sorted(out.glob("report_*.json"))
     if not reports:
         raise MissingArtifactError(str(out / "report_<model>.json"))
-    lines = ["model,metric,threshold,lead_min,value"]
-    plot_lines = ["model,metric,threshold,lead_min,value"]
+    fields = ("metric", "threshold", "lead_min", "value")
+    lines = ["model," + ",".join(fields)]
+    plot_lines = list(lines)
     for path in reports:
-        doc = _read(cfg, path.with_suffix(""), keys=(
-            "model", "macro", *(f"rows.*.{k}" for k in ("metric", "threshold", "lead_min", "value"))))
+        doc = _read(cfg, path.with_suffix(""), keys=("model", "macro", *(f"rows.*.{k}" for k in fields)))
         model = doc["model"]
-        for row in doc["rows"]:
-            v = row["value"]
-            v = float("nan") if v is None else v
-            lines.append(f"{model},{row['metric']},{row['threshold']},{row['lead_min']},{v!r}")
-            plot_lines.append(
-                f"{model},{row['metric']},{row['threshold']},{row['lead_min']},{v!r}"
-            )
-        for metric, v in sorted(doc["macro"].items()):
-            v = float("nan") if v is None else v
-            lines.append(f"{model},{metric},all,all,{v!r}")
+        rows = [csv_row(model, *(row[k] for k in fields)) for row in doc["rows"]]
+        lines += rows + [csv_row(model, m, "all", "all", v) for m, v in sorted(doc["macro"].items())]
+        plot_lines += rows
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")
     if plot_data:
         (out / "plot_data.csv").write_text("\n".join(plot_lines) + "\n")

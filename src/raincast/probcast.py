@@ -255,10 +255,12 @@ class ThresholdTable:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, expect_edges=None) -> "ThresholdTable":
+    def from_json(cls, text: str, expect_edges) -> "ThresholdTable":
+        """Parse :meth:`to_json` output, refusing a table whose edges are not
+        ``expect_edges``."""
         doc = json.loads(text)
         edges = tuple(doc["edges"])
-        if expect_edges is not None and tuple(expect_edges) != edges:
+        if tuple(expect_edges) != edges:
             raise ValueError("threshold table edges do not match the configured bins")
         fb = doc.get("fallback")
         return cls(
@@ -287,26 +289,23 @@ def _csi_curve(p: np.ndarray, events: np.ndarray, candidates: np.ndarray):
 def calibrate_thresholds(
     prob_cubes,
     target_masks,
-    candidates: np.ndarray | None = None,
-    bins: BinSet | None = None,
+    bins: BinSet,
     lead_min: tuple[float, ...] = (),
 ) -> ThresholdTable:
-    """Pick, per (class, lead time), the activation threshold maximizing CSI.
+    """Pick, per (class, lead time), the activation threshold in
+    :data:`DEFAULT_CANDIDATES` maximizing CSI.
 
     ``prob_cubes`` and ``target_masks`` are parallel sequences of (T, K, H, W)
-    exceedance cubes and :class:`ClassMasks` over a calibration set.  Ties
-    break toward the smaller threshold; a class with no observed events falls
-    back to 0.5 and is flagged.
+    exceedance cubes and :class:`ClassMasks` over a calibration set, and
+    ``bins`` holds their K edges.  Ties break toward the smaller threshold; a
+    class with no observed events falls back to 0.5 and is flagged.
     """
     cubes = list(prob_cubes)
     masks = list(target_masks)
     if not cubes or len(cubes) != len(masks):
         raise ValueError("need a nonempty calibration set with matching targets")
-    cand = DEFAULT_CANDIDATES if candidates is None else np.asarray(candidates, dtype=np.float64)
-    if np.any((cand <= 0) | (cand >= 1)):
-        raise ValueError("candidate thresholds must lie inside (0, 1)")
     t_steps, k = cubes[0].shape[0], cubes[0].shape[1]
-    if bins is not None and bins.n_classes != k:
+    if bins.n_classes != k:
         raise ValueError("bin edge count does not match the probability cubes")
     thr = np.full((k, t_steps), 0.5)
     fallback = np.zeros((k, t_steps), dtype=bool)
@@ -322,19 +321,13 @@ def calibrate_thresholds(
             if y.size == 0 or not y.any():
                 fallback[c, t] = True
                 continue
-            csi = _csi_curve(p, y, cand)
+            csi = _csi_curve(p, y, DEFAULT_CANDIDATES)
             csi = np.where(np.isnan(csi), -1.0, csi)
-            thr[c, t] = cand[int(np.argmax(csi))]  # argmax takes the first = smallest on ties
-    edges = bins.edges if bins is not None else tuple(float("nan") for _ in range(k))
-    return ThresholdTable(thr, edges, lead_min, fallback)
+            thr[c, t] = DEFAULT_CANDIDATES[int(np.argmax(csi))]  # argmax takes the first = smallest on ties
+    return ThresholdTable(thr, bins.edges, lead_min, fallback)
 
 
-def extract_intensity(
-    p: np.ndarray,
-    table: ThresholdTable,
-    bins: BinSet,
-    top_rep: float | None = None,
-) -> np.ndarray:
+def extract_intensity(p: np.ndarray, table: ThresholdTable, bins: BinSet) -> np.ndarray:
     """Rates from an exceedance cube: the representative of the highest
     activated bucket, where class c is activated iff p[t, c] >= thr[c, t].
 
@@ -347,8 +340,7 @@ def extract_intensity(
     activated = p >= table.thr.T[:, :, None, None]
     class_ids = np.arange(1, k + 1)[None, :, None, None]
     highest = np.max(np.where(activated, class_ids, 0), axis=1)
-    reps = bucket_representatives(bins, top_rep)
-    return reps[highest]
+    return bucket_representatives(bins)[highest]
 
 
 # ---------------------------------------------------------------------------

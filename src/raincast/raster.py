@@ -1,8 +1,10 @@
 """Gridded precipitation fields and the geometric transforms the forecaster relies on.
 
-A :class:`Raster` is a single 2-D field (rain rate in mm/h or reflectivity in
-dBZ) on a regular grid; a :class:`SourceStack` is a time/channel stack of such
-fields.  Pixels without ground truth carry the sentinel value ``-1``.
+A :class:`SourceStack` is a (T, C, H, W) time/channel stack of 2-D fields
+(rain rate in mm/h or reflectivity in dBZ) on one regular grid, and the only
+grid type; raster files hold single-channel stacks.  Pixels without ground
+truth carry the sentinel value ``-1``.  Space-to-depth and its inverse work
+on plain arrays.
 
 Coordinate convention: origin at the top-left corner, x to the right, y
 downward, both in km.  All transforms are pure functions over their inputs.
@@ -45,43 +47,6 @@ def _check_values(values: np.ndarray, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class Raster:
-    """One georeferenced 2-D field.  Treat instances as immutable.
-
-    values: (H, W) float array; ``-1`` marks missing ground truth.
-    res_km: grid spacing in km/pixel (> 0).
-    origin_km: (x, y) of the top-left corner in the shared frame, km.
-    kind: "rate" (mm/h) or "dbz".
-    """
-
-    values: np.ndarray
-    res_km: float
-    origin_km: tuple[float, float] = (0.0, 0.0)
-    kind: str = "rate"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2:
-            raise DimensionError(f"Raster values must be 2-D, got {self.values.ndim}-D")
-        if self.res_km <= 0:
-            raise ValueError("res_km must be positive")
-        _check_values(self.values, self.kind)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.values != SENTINEL
-
-    @property
-    def extent_km(self) -> tuple[float, float]:
-        h, w = self.values.shape
-        return (w * self.res_km, h * self.res_km)
-
-
-@dataclass(frozen=True)
 class SourceStack:
     """A (T, C, H, W) stack of fields sharing one grid.
 
@@ -112,11 +77,6 @@ class SourceStack:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
-
-    @property
-    def extent_km(self) -> tuple[float, float]:
-        h, w = self.data.shape[-2:]
-        return (w * self.res_km, h * self.res_km)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +117,6 @@ def depth_to_space_array(x: np.ndarray, block: int) -> np.ndarray:
     x = x.reshape(*lead, c, block, block, h, w)
     x = np.moveaxis(x, (-4, -3), (-3, -1))
     return np.ascontiguousarray(x.reshape(*lead, c, h * block, w * block))
-
-
-def space_to_depth(s: SourceStack, block: int) -> SourceStack:
-    """Space-to-depth on a stack; the grid becomes ``block`` times coarser."""
-    out = space_to_depth_array(s.data, block)
-    return replace(s, data=out, res_km=s.res_km * block)
-
-
-def depth_to_space(s: SourceStack, block: int) -> SourceStack:
-    out = depth_to_space_array(s.data, block)
-    return replace(s, data=out, res_km=s.res_km / block)
 
 
 def merge_time_channels(s: SourceStack) -> np.ndarray:
@@ -232,25 +181,18 @@ def align_center(s: SourceStack, target_extent_km: tuple[float, float]) -> Sourc
 # portable raster files: an artifact (see artifact.py) with one array
 
 
-def save_raster(base: str | Path, obj: Raster | SourceStack, extra: dict | None = None) -> None:
-    """Write a raster or single-channel stack, plus the ``extra`` header fields."""
-    header = {"res_km": obj.res_km, "origin_km": list(obj.origin_km), "kind": obj.kind}
-    if isinstance(obj, Raster):
-        payload = obj.values
-    else:
-        if obj.data.shape[1] != 1:
-            raise ValueError("raster files hold single-channel stacks")
-        header["timesteps_min"] = list(obj.timesteps_min)
-        payload = obj.data
-    header["h"], header["w"] = payload.shape[-2:]
-    artifact.write(base, {**header, **(extra or {})}, [payload])
+def save_raster(base: str | Path, s: SourceStack, extra: dict | None = None) -> None:
+    """Write a single-channel stack, plus the ``extra`` header fields."""
+    if s.data.shape[1] != 1:
+        raise ValueError("raster files hold single-channel stacks")
+    header = {"res_km": s.res_km, "origin_km": list(s.origin_km), "kind": s.kind,
+              "timesteps_min": list(s.timesteps_min)}
+    header["h"], header["w"] = s.data.shape[-2:]
+    artifact.write(base, {**header, **(extra or {})}, [s.data])
 
 
-def load_raster(base: str | Path) -> Raster | SourceStack:
-    """Read a raster artifact written by :func:`save_raster`."""
+def load_raster(base: str | Path) -> SourceStack:
+    """Read a stack written by :func:`save_raster`."""
     header, (data,) = artifact.read(base)
-    origin = tuple(header["origin_km"])
-    if "timesteps_min" in header:
-        return SourceStack(data, header["res_km"], origin, tuple(header["timesteps_min"]),
-                           header["kind"])
-    return Raster(data, header["res_km"], origin, header["kind"])
+    return SourceStack(data, header["res_km"], tuple(header["origin_km"]),
+                       tuple(header["timesteps_min"]), header["kind"])

@@ -175,6 +175,14 @@ def error_scores(pred, obs, valid=None) -> dict:
 # structural similarity
 
 
+# the standard SSIM constants: an 11x11 Gaussian window of sigma 1.5 and
+# stabilizers (K1 * range)^2, (K2 * range)^2
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+
+
 def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     r = np.arange(window) - (window - 1) / 2.0
     g = np.exp(-(r**2) / (2.0 * sigma**2))
@@ -182,11 +190,11 @@ def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def ssim(pred, obs, window: int = 11, sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(pred, obs) -> float:
     """Mean structural similarity over all fully interior Gaussian windows.
 
     The dynamic range is taken from the observation field.  Inputs must be
-    sentinel-free and at least window x window.
+    sentinel-free and at least ``SSIM_WINDOW`` pixels on each side.
     """
     pred = np.asarray(pred, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
@@ -194,17 +202,17 @@ def ssim(pred, obs, window: int = 11, sigma: float = 1.5, k1: float = 0.01, k2: 
         raise ValueError("pred/obs shape mismatch")
     if np.any(pred == SENTINEL) or np.any(obs == SENTINEL):
         raise ValueError("ssim inputs must be sentinel-free")
-    if min(pred.shape) < window:
-        raise ValueError(f"fields must be at least {window}x{window}")
+    if min(pred.shape) < SSIM_WINDOW:
+        raise ValueError(f"fields must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     dyn = float(obs.max() - obs.min())
     if dyn == 0.0:
         dyn = 1.0
-    c1 = (k1 * dyn) ** 2
-    c2 = (k2 * dyn) ** 2
-    kern = _gaussian_kernel(window, sigma)
+    c1 = (SSIM_K1 * dyn) ** 2
+    c2 = (SSIM_K2 * dyn) ** 2
+    kern = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
 
     def local(img):
-        return np.einsum("ijkl,kl->ij", sliding_window_view(img, (window, window)), kern)
+        return np.einsum("ijkl,kl->ij", sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW)), kern)
 
     mu_p = local(pred)
     mu_o = local(obs)
@@ -243,6 +251,14 @@ class ReportConfig:
     lead_min: tuple[float, ...] = ()
 
 
+def csv_row(*cells) -> str:
+    """One CSV line of key cells and a score, the last cell.  An undefined
+    score (NaN, or None as in a report's JSON) prints as ``nan``."""
+    *keys, value = cells
+    value = math.nan if value is None else value
+    return ",".join(map(str, keys)) + f",{value!r}"
+
+
 @dataclass
 class SkillReport:
     """Scalar scores keyed by (metric, threshold, lead time), derived from
@@ -278,10 +294,8 @@ class SkillReport:
 
     def to_csv(self) -> str:
         lines = ["metric,threshold,lead_min,value"]
-        for m, th, ld, v in self.rows:
-            lines.append(f"{m},{th},{ld},{v!r}")
-        for m, v in sorted(self.macro().items()):
-            lines.append(f"{m},all,all,{v!r}")
+        lines += [csv_row(*row) for row in self.rows]
+        lines += [csv_row(m, "all", "all", v) for m, v in sorted(self.macro().items())]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -343,7 +357,7 @@ def build_report(samples, config: ReportConfig) -> SkillReport:
                 for (num, den), w_km in zip(fss_sums, config.windows_km):
                     add(fss_acc, (th, w_km, t), num[t, i].item(), den[t, i].item())
             add(err_acc, t, *(e[t].item() for e in errors))
-            if valid[t, 0].all() and min(pred.shape[1:]) >= 11:
+            if valid[t, 0].all() and min(pred.shape[1:]) >= SSIM_WINDOW:
                 add(ssim_acc, t, ssim(pred[t], obs[t]), 1)
         if s.prob is not None and config.bins is not None:
             for t in range(pred.shape[0]):

@@ -103,7 +103,6 @@ class TestBuckets:
         assert bucket_representative(b, 2) == 1.5  # midpoint of [1, 2)
         assert bucket_representative(b, 3) == 2.0  # lower edge of the open bucket
         assert bucket_representative(b, 0) == 0.0
-        assert bucket_representative(b, 3, top_rep=4.0) == 4.0
         np.testing.assert_allclose(bucket_representatives(b), [0.0, 0.55, 1.5, 2.0])
 
 

@@ -5,6 +5,7 @@ from raincast.intensity import BinSet, classify
 from raincast.micromodel import (
     DivergenceError,
     ModelConfig,
+    ParamSet,
     batch_loss,
     ema_update,
     forward,
@@ -301,6 +302,21 @@ class TestPredict:
         before = lc_params.n_forward_calls
         predict(lc_params, frames)
         assert lc_params.n_forward_calls - before == lc.t_out
+
+    @pytest.mark.parametrize("mode,loss", [("single-pass", "ordinal"),
+                                           ("lead-conditioned", "ce")])
+    def test_runs_on_the_ema_shadow(self, mode, loss):
+        cfg = ModelConfig(t_in=2, t_out=3, k_classes=2, channels=8, n_blocks=1,
+                          mode=mode, loss=loss, seed=3)
+        params = init_params(cfg)
+        rng = np.random.default_rng(12)
+        params.ema = {k: v + rng.normal(0, 0.3, v.shape) for k, v in params.tensors.items()}
+        frames = rng.uniform(0, 5, size=(2, 16, 16))
+        got = predict(params, frames)
+        # the raw tensors have a zero head, so they forecast something else
+        assert not np.array_equal(got, predict(ParamSet(params.tensors, cfg), frames))
+        np.testing.assert_array_equal(got, predict(ParamSet(params.ema, cfg), frames))
+        assert params.n_forward_calls == (cfg.t_out if mode == "lead-conditioned" else 1)
 
     def test_lead_conditioned_shapes_match_single_pass(self):
         frames = np.random.default_rng(9).uniform(0, 5, size=(2, 16, 16))

@@ -205,6 +205,27 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         assert str(out / name) in err and str(field[-1]) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,edit,stage", [
+        ("model.json", lambda doc: doc["config"].update(surprise=1), ["calibrate"]),
+        ("frames.json", lambda doc: doc.update(res_km=0), ["split"]),
+        ("thresholds.json", lambda doc: doc["table"].update(edges=[0.5, 3.0]),
+         ["predict", "--model", "micromodel"]),
+        ("thresholds.json", lambda doc: doc["table"]["thresholds"][0].__setitem__(0, 7.0),
+         ["predict", "--model", "micromodel"]),
+        ("frames.json", lambda doc: doc.pop("timesteps_min"), ["split"]),
+    ], ids=["unknown-model-key", "zero-res", "other-bin-edges", "threshold-outside-0-1",
+            "no-timesteps"])
+    def test_header_a_loader_cannot_decode_exits_two(self, tmp_path, capsys, predicted_run,
+                                                      name, edit, stage):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        doc = json.loads((out / name).read_text())
+        edit(doc)
+        (out / name).write_text(json.dumps(doc))
+        assert main([*stage, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and "Traceback" not in err
+
     def test_force_does_not_waive_integrity(self, tmp_path, predicted_run):
         out = tmp_path / "out"
         shutil.copytree(predicted_run, out)
@@ -247,6 +268,27 @@ class TestFullPipeline:
         assert main(["eval", "--config", str(path), "--out", str(out), "--model", "persistence",
                      "--plot-data"]) == 0
         assert (out / "plot_persistence.csv").exists()
+
+    def test_plot_rows_are_the_report_rows(self, tmp_path):
+        # a 50 mm/h threshold is never reached, so its categorical cells are undefined
+        path = write_config(tmp_path, {**BASE_CONFIG, "thresholds": [0.5, 2.0, 50.0]})
+        out = tmp_path / "out"
+        for stage in ("gen", "split"):
+            assert main([stage, "--config", str(path), "--out", str(out)]) == 0
+        assert main(["predict", "--config", str(path), "--out", str(out), "--model", "persistence"]) == 0
+        assert main(["eval", "--config", str(path), "--out", str(out), "--model", "persistence",
+                     "--plot-data"]) == 0
+        assert main(["report", "--config", str(path), "--out", str(out), "--plot-data"]) == 0
+
+        def lines(name):
+            return (out / name).read_text().splitlines()
+
+        report = lines("report_persistence.csv")
+        assert any(line.endswith(",nan") for line in report)
+        assert lines("plot_persistence.csv") == [l for l in report if ",all,all," not in l]
+        comparison = lines("comparison.csv")
+        assert lines("plot_data.csv") == [l for l in comparison if ",all,all," not in l]
+        assert comparison[1:] == [f"persistence,{l}" for l in report[1:]]
 
     def test_stage_rerun_is_idempotent(self, tmp_path):
         path = write_config(tmp_path)

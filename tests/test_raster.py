@@ -5,14 +5,12 @@ from raincast.raster import (
     SENTINEL,
     AlignmentError,
     DimensionError,
-    Raster,
     SourceStack,
     align_center,
     depth_to_space_array,
     load_raster,
     merge_time_channels,
     save_raster,
-    space_to_depth,
     space_to_depth_array,
     split_time_channels,
 )
@@ -45,12 +43,6 @@ class TestSpaceToDepth:
     def test_nondivisible(self):
         with pytest.raises(DimensionError):
             space_to_depth_array(np.zeros((1, 1, 3, 4)), 2)
-
-    def test_stack_metadata(self):
-        s = stack_of(np.zeros((1, 1, 4, 4)), res=2.0)
-        out = space_to_depth(s, 2)
-        assert out.res_km == 4.0
-        assert out.data.shape == (1, 4, 2, 2)
 
 
 class TestTimeChannels:
@@ -129,18 +121,11 @@ class TestSentinelPropagation:
         data = np.ones((1, 1, 4, 4))
         data[0, 0, 1, 2] = SENTINEL
         s = stack_of(data)
-        assert np.sum(space_to_depth(s, 2).data == SENTINEL) == 1
+        assert np.sum(space_to_depth_array(s.data, 2) == SENTINEL) == 1
         assert np.sum(align_center(s, (6.0, 6.0)).data == SENTINEL) == 1
 
 
 class TestRasterFiles:
-    def test_round_trip(self, tmp_path):
-        v = np.array([[0.5, 1.25], [0.0, SENTINEL]])
-        save_raster(tmp_path / "r", Raster(v, 2.0, (4.0, 8.0), "rate"))
-        back = load_raster(tmp_path / "r")
-        np.testing.assert_array_equal(back.values, v)
-        assert back.res_km == 2.0 and back.origin_km == (4.0, 8.0) and back.kind == "rate"
-
     def test_stack_round_trip(self, tmp_path):
         data = np.round(np.abs(np.random.default_rng(5).normal(size=(3, 1, 4, 4))), 3)
         s = SourceStack(data, 1.0, (0.0, 0.0), (0.0, 10.0, 20.0), "rate")
@@ -154,11 +139,11 @@ class TestRasterFiles:
 class TestValidation:
     def test_rate_rejects_negative(self):
         with pytest.raises(ValueError):
-            Raster(np.array([[-0.5]]), 1.0)
+            SourceStack(np.array([[[[-0.5]]]]), 1.0, (0.0, 0.0), (0.0,))
 
     def test_dbz_range(self):
         with pytest.raises(ValueError):
-            Raster(np.array([[70.0]]), 1.0, kind="dbz")
+            SourceStack(np.array([[[[70.0]]]]), 1.0, (0.0, 0.0), (0.0,), "dbz")
 
     def test_timesteps_must_increase(self):
         with pytest.raises(ValueError):
