@@ -6,10 +6,15 @@ backward sweep accumulates exact gradients.  Only the handful of ops the
 miniature forecaster needs are provided, each with a hand-written
 vector-Jacobian product; the two loss ops take value and gradient from the
 loss kernels in :mod:`raincast.probcast`.
+
+The convolutions are GEMMs on NCHW float64 arrays.  ``conv1x1`` multiplies
+the (C, H*W) planes of each sample.  ``conv3x3`` lays its input out as
+channels-first (9C, B*H*W) im2col columns, so its forward, weight gradient
+and input gradient are one 2-D GEMM each; its backward closure rebuilds the
+columns rather than keeping them alive on the tape.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .probcast import _masked_bce, _masked_softmax_ce
 from .raster import depth_to_space_array, space_to_depth_array
@@ -23,6 +28,25 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
+
+
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """(9C, B*H*W) columns of a same-padded 3x3 conv over x (B,C,H,W).
+
+    Row 9c + 3ky + kx holds channel c at tap (ky, kx), that is x[:, c]
+    shifted by (ky - 1, kx - 1), so ``w.reshape(O, 9C)`` multiplies the
+    columns directly; the columns run over (b, h, w).  Built from nine slice
+    copies of the zero-padded (C, B, H+2, W+2) input (Chellapilla et al.
+    2006).
+    """
+    B, C, H, W = x.shape
+    xp = np.zeros((C, B, H + 2, W + 2))
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((C, 3, 3, B, H, W))
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, ky, kx] = xp[:, :, ky:ky + H, kx:kx + W]
+    return cols.reshape(9 * C, B * H * W)
 
 
 class Tensor:
@@ -115,36 +139,53 @@ class Tape:
         return out
 
     def conv1x1(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Pointwise conv: x (B,C,H,W), w (O,C), b (O)."""
-        y = np.tensordot(x.value, w.value, axes=([1], [1]))  # B,H,W,O
-        out = Tensor(np.ascontiguousarray(np.moveaxis(y, 3, 1)) + b.value[:, None, None])
+        """Pointwise conv: x (B,C,H,W), w (O,C), b (O); one batched GEMM each way."""
+        B, C, H, W = x.value.shape
+        O = w.value.shape[0]
+        xm = x.value.reshape(B, C, H * W)
+        out = Tensor((w.value @ xm).reshape(B, O, H, W) + b.value[:, None, None])
 
         def bwd(g):
             b.add_grad(g.sum(axis=(0, 2, 3)))
-            w.add_grad(np.tensordot(g, x.value, axes=([0, 2, 3], [0, 2, 3])))
-            gx = np.tensordot(g, w.value, axes=([1], [0]))  # B,H,W,C
-            x.add_grad(np.ascontiguousarray(np.moveaxis(gx, 3, 1)))
+            gm = g.reshape(B, O, H * W)
+            w.add_grad(np.tensordot(gm, xm, axes=([0, 2], [0, 2])))  # O,C
+            x.add_grad((w.value.T @ gm).reshape(B, C, H, W))
 
         self._push(out, bwd)
         return out
 
     def conv3x3(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Same-padded 3x3 conv: x (B,C,H,W), w (O,C,3,3), b (O)."""
-        xp = np.pad(x.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # B,C,H,W,3,3
-        y = np.tensordot(win, w.value, axes=([1, 4, 5], [1, 2, 3]))  # B,H,W,O
-        out = Tensor(np.ascontiguousarray(np.moveaxis(y, 3, 1)) + b.value[:, None, None])
+        """Same-padded 3x3 conv: x (B,C,H,W), w (O,C,3,3), b (O).
+
+        The forward, the weight gradient and the input gradient are one 2-D
+        GEMM each over :func:`_im2col` columns, laid out channels-first as
+        (9C, B*H*W):
+
+        - forward: ``w.reshape(O, 9C) @ cols(x)``
+        - weight gradient: ``g(O, B*H*W) @ cols(x).T``
+        - input gradient: the flipped, transposed kernel (C, 9O) times
+          ``cols(g)``, a full correlation of g.  Each input pixel sums over
+          (o, ky, kx) in one GEMM, so gradients keep the bits of a direct
+          sum in that order; a col2im scatter-add of ``w.T @ g`` would sum
+          over o first and then over the nine taps.
+
+        The backward closure rebuilds the columns of x rather than keeping
+        them alive on the tape: at B=8 they are nine times the input.
+        """
+        B, C, H, W = x.value.shape
+        O = w.value.shape[0]
+        y = w.value.reshape(O, 9 * C) @ _im2col(x.value)  # O, B*H*W
+        value = np.empty((B, O, H, W))
+        np.add(y.reshape(O, B, H, W).transpose(1, 0, 2, 3), b.value[:, None, None], out=value)
+        out = Tensor(value)
 
         def bwd(g):
             b.add_grad(g.sum(axis=(0, 2, 3)))
-            xp = np.pad(x.value, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            win = sliding_window_view(xp, (3, 3), axis=(2, 3))
-            w.add_grad(np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))  # O,C,3,3
-            gp = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            gwin = sliding_window_view(gp, (3, 3), axis=(2, 3))  # B,O,H,W,3,3
-            wf = w.value[:, :, ::-1, ::-1]
-            gx = np.tensordot(gwin, wf, axes=([1, 4, 5], [0, 2, 3]))  # B,H,W,C
-            x.add_grad(np.ascontiguousarray(np.moveaxis(gx, 3, 1)))
+            gcols = _im2col(g)
+            gm = gcols.reshape(O, 9, B * H * W)[:, 4]  # the centre tap is g itself
+            w.add_grad((gm @ _im2col(x.value).T).reshape(O, C, 3, 3))
+            wt = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, 9 * O)
+            x.add_grad((wt @ gcols).reshape(C, B, H, W).transpose(1, 0, 2, 3))
 
         self._push(out, bwd)
         return out

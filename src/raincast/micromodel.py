@@ -316,12 +316,14 @@ def train(dataset, config: ModelConfig, bins: BinSet):
             raise DivergenceError(f"non-finite loss at step {step}")
         curve.append(loss_val)
         tape.backward(loss)
+        # grads live on the tape leaves; fetch them back by name, then drop the
+        # tape, and with it this step's activations, before the next forward
+        grads = _leaf_grads(tape, params)
+        del loss, tape
 
         params.step += 1
         t = params.step
         b1, b2 = ADAM_BETAS
-        # grads live on the tape leaves; fetch them back by name
-        grads = _leaf_grads(tape, params)
         for name, p_val in params.tensors.items():
             g = grads[name]
             m[name] = b1 * m[name] + (1 - b1) * g

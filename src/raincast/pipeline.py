@@ -111,7 +111,7 @@ class RunConfig:
             )
             positive = {"thresholds": cfg.thresholds, "windows_km": cfg.windows_km,
                         "timeline.days": (cfg.timeline_days,),
-                        "timeline.step_min": (cfg.step_min,)}
+                        "timeline.step_min": (cfg.step_min,), "model.lr": (cfg.model.lr,)}
             for key, values in positive.items():
                 if not all(math.isfinite(v) and v > 0 for v in values):
                     raise ConfigError(f"{key} must all be finite and positive")
@@ -131,6 +131,10 @@ class RunConfig:
         for pool in cfg.pools:
             if pool < 1 or cfg.scene.h % pool or cfg.scene.w % pool:
                 raise ConfigError(f"pool {pool} does not divide the {cfg.scene.h}x{cfg.scene.w} scene")
+        block = cfg.model.stem_block
+        if cfg.scene.h % block or cfg.scene.w % block:
+            raise ConfigError(f"model.stem_block {block} does not divide the "
+                              f"{cfg.scene.h}x{cfg.scene.w} scene")
         return cfg
 
     @classmethod
@@ -351,15 +355,20 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
 
 def stage_attribute(cfg: RunConfig, out: Path, lead: int = 0, class_index: int = 0,
                     steps: int = 64) -> None:
+    if not 0 <= lead < cfg.model.t_out:
+        raise ConfigError(f"--lead {lead} is outside [0, {cfg.model.t_out})")
+    if not 0 <= class_index < cfg.model.classes_per_lead:
+        raise ConfigError(f"--class-index {class_index} is outside [0, {cfg.model.classes_per_lead})")
+    if steps < 1:
+        raise ConfigError(f"--steps {steps} must be at least 1")
     stack, origins = _split_windows(cfg, out, "test")
     params = _read(cfg, out / "model", load_checkpoint)
     inp = stack.data[origins[0] - cfg.model.t_in + 1 : origins[0] + 1, 0]
     result = integrated_gradients(params, inp, (lead, class_index, None), steps=steps)
     names = _plane_names(cfg)
     lines = ["feature,importance"]
-    for name, v in zip(names, result["per_channel"]):
-        lines.append(f"{name},{v!r}")
-    lines.append(f"completeness_gap,{result['completeness_gap']!r}")
+    lines += [csv_row(name, float(v)) for name, v in zip(names, result["per_channel"])]
+    lines.append(csv_row("completeness_gap", result["completeness_gap"]))
     (out / "attribution.csv").write_text("\n".join(lines) + "\n")
 
 

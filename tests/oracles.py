@@ -197,6 +197,32 @@ def space_to_depth_loop(x, block):
     return out
 
 
+def conv3x3_loop(x, w, b, g):
+    """Same-padded 3x3 convolution y of x (B,C,H,W) by w (O,C,3,3) plus b
+    (O), and for an upstream gradient g shaped like y the gradients of
+    sum(g * y) with respect to w, b and x, one output pixel and tap at a time.
+    Returns (y, gw, gb, gx)."""
+    n_b, n_c, h, w_ = x.shape
+    n_o = w.shape[0]
+    y = np.zeros((n_b, n_o, h, w_))
+    gw, gb, gx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(x)
+    for n in range(n_b):
+        for o in range(n_o):
+            for i in range(h):
+                for j in range(w_):
+                    y[n, o, i, j] = b[o]
+                    gb[o] += g[n, o, i, j]
+                    for c in range(n_c):
+                        for ky in range(3):
+                            for kx in range(3):
+                                si, sj = i + ky - 1, j + kx - 1
+                                if 0 <= si < h and 0 <= sj < w_:
+                                    y[n, o, i, j] += w[o, c, ky, kx] * x[n, c, si, sj]
+                                    gw[o, c, ky, kx] += g[n, o, i, j] * x[n, c, si, sj]
+                                    gx[n, c, si, sj] += g[n, o, i, j] * w[o, c, ky, kx]
+    return y, gw, gb, gx
+
+
 def msd_surface_loop(f_prev, f_next, search):
     """Masked mean squared difference between f_next and f_prev shifted by
     (sy, sx), one shift at a time, at [sy + search, sx + search]; inf where

@@ -6,6 +6,8 @@ import pytest
 from raincast.cli import main
 from raincast.pipeline import ConfigError, RunConfig, run_stage
 
+import test_acceptance
+
 BASE_CONFIG = {
     "seed": 0,
     "bins": {"edges": [0.5, 2.0], "top_width": 1.5},
@@ -67,11 +69,24 @@ class TestConfig:
         ("timeline.step_min", 0.0),
         ("timeline.days", -4.0),
         ("splits.cycle_days", [0.0, 0.0, 0.0]),
+        ("model.lr", -1.0),
+        ("model.lr", 0.0),
+        ("model.lr", float("nan")),
+        ("model.lr", float("inf")),
     ])
     def test_nonpositive_scores_rejected(self, tmp_path, key, values):
         doc = json.loads(json.dumps(BASE_CONFIG))
         parent, _, leaf = key.rpartition(".")
         (doc[parent] if parent else doc)[leaf] = values
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("side,size", [("h", 15), ("w", 9)])
+    def test_scene_the_stem_block_does_not_divide_rejected(self, tmp_path, side, size):
+        # pools [1] divides any scene, so only the model's stem block (2) can refuse it
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["scene"][side] = size
+        doc["pools"] = [1]
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
@@ -258,6 +273,22 @@ class TestFullPipeline:
         lines = (out / "attribution.csv").read_text().splitlines()
         assert lines[0] == "feature,importance"
         assert any(l.startswith("rate_") for l in lines)
+        assert lines[-1].startswith("completeness_gap,")
+        for line in lines[1:]:
+            float(line.split(",")[1])
+
+    @pytest.mark.parametrize("args", [
+        ["--lead", "3"], ["--lead", "-1"], ["--class-index", "2"], ["--class-index", "-1"],
+        ["--steps", "0"],
+    ], ids=["lead-t_out", "lead-negative", "class-k", "class-negative", "zero-steps"])
+    def test_attribute_target_out_of_range_exits_three(self, tmp_path, capsys, predicted_run,
+                                                       args):
+        # the base config has t_out 3 and 2 ordinal classes; nothing is read or written
+        path = write_config(tmp_path)
+        assert main(["attribute", "--config", str(path), "--out", str(predicted_run), *args]) == 3
+        err = capsys.readouterr().err
+        assert args[0] in err and "Traceback" not in err
+        assert not (predicted_run / "attribution.csv").exists()
 
     def test_plot_data_flag(self, tmp_path):
         path = write_config(tmp_path)
@@ -307,3 +338,17 @@ class TestFullPipeline:
         for name in ("report_micromodel.csv", "report_persistence.csv",
                      "report_advection.csv", "comparison.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path, monkeypatch):
+        """Criterion 11's pipeline, run once on one BLAS thread and once on two."""
+        criterion = test_acceptance.TestCriterion11()
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(criterion.CONFIG))
+        outs = [tmp_path / "threads1", tmp_path / "threads2"]
+        for threads, out in zip(("1", "2"), outs):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)  # read by each stage subprocess
+            criterion.run_pipeline(cfg_path, out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -1,7 +1,8 @@
 """Property tests: invariants of the loss and reconstruction math checked on
-generated shapes, sentinel holes and lead weights; the motion search, the
-space-to-depth rearrangement and the calibration CSI curve against their
-loop oracles; and the artifact codec on generated arrays and damage."""
+generated shapes, sentinel holes and lead weights; the tape convolutions, the
+motion search, the space-to-depth rearrangement and the calibration CSI curve
+against their loop oracles; and the artifact codec on generated arrays and
+damage."""
 
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from raincast import artifact, baseline
+from raincast.autodiff import Tape
 from raincast.intensity import BinSet, exceedance_masks
 from raincast.probcast import (
     DEFAULT_CANDIDATES,
@@ -26,7 +28,13 @@ from raincast.probcast import (
 )
 from raincast.raster import SENTINEL, depth_to_space_array, space_to_depth_array
 
-from oracles import csi_curve_loop, msd_surface_loop, ordinal_loss_loop, space_to_depth_loop
+from oracles import (
+    conv3x3_loop,
+    csi_curve_loop,
+    msd_surface_loop,
+    ordinal_loss_loop,
+    space_to_depth_loop,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -125,6 +133,49 @@ class TestMotionSearch:
         assert got.vx == pytest.approx(want.vx, rel=1e-12, abs=1e-12)
         assert got.vy == pytest.approx(want.vy, rel=1e-12, abs=1e-12)
         assert got.low_confidence == want.low_confidence
+
+
+@st.composite
+def conv_cases(draw):
+    """x (B,C,H,W), a 3x3 kernel w (O,C,3,3), b (O) and an upstream gradient
+    g (B,O,H,W); H and W are drawn apart, so fields may be 1x1 or non-square."""
+    b, c, o = draw(st.integers(1, 3)), draw(dims), draw(dims)
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.normal(size=(b, c, h, w)), rng.normal(size=(o, c, 3, 3)),
+            rng.normal(size=o), rng.normal(size=(b, o, h, w)))
+
+
+def tape_conv(op, x, w, b, g):
+    """Forward value and (w, b, x) gradients of sum(g * op(x, w, b)) on a tape."""
+    tape = Tape()
+    xl, wl, bl = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+    y = op(tape, xl, wl, bl)
+    tape.backward(tape.weighted_sum(y, g))
+    return y.value, wl.grad, bl.grad, xl.grad
+
+
+class TestConvolutions:
+    @SETTINGS
+    @given(conv_cases())
+    def test_conv3x3_matches_loop(self, case):
+        got = tape_conv(Tape.conv3x3, *case)
+        for name, a, want in zip(("y", "gw", "gb", "gx"), got, conv3x3_loop(*case)):
+            np.testing.assert_allclose(a, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @SETTINGS
+    @given(conv_cases())
+    def test_conv1x1_matches_centre_tap_loop(self, case):
+        # a 1x1 kernel is a 3x3 kernel that is zero off its centre tap
+        x, w3, b, g = case
+        w = w3[:, :, 1, 1].copy()
+        w3 = np.zeros_like(w3)
+        w3[:, :, 1, 1] = w
+        y, gw, gb, gx = tape_conv(Tape.conv1x1, x, w, b, g)
+        want_y, want_gw, want_gb, want_gx = conv3x3_loop(x, w3, b, g)
+        for name, a, want in (("y", y, want_y), ("gw", gw, want_gw[:, :, 1, 1]),
+                              ("gb", gb, want_gb), ("gx", gx, want_gx)):
+            np.testing.assert_allclose(a, want, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestSpaceToDepth:
