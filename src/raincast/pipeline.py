@@ -111,10 +111,20 @@ class RunConfig:
             )
             positive = {"thresholds": cfg.thresholds, "windows_km": cfg.windows_km,
                         "timeline.days": (cfg.timeline_days,),
-                        "timeline.step_min": (cfg.step_min,), "model.lr": (cfg.model.lr,)}
+                        "timeline.step_min": (cfg.step_min,), "model.lr": (cfg.model.lr,),
+                        "model.rate_cap": (cfg.model.rate_cap,)}
             for key, values in positive.items():
                 if not all(math.isfinite(v) and v > 0 for v in values):
                     raise ConfigError(f"{key} must all be finite and positive")
+            model = cfg.model
+            if not (math.isfinite(model.alpha) and model.alpha >= 1):
+                raise ConfigError("model.alpha must be finite and at least 1")
+            if not 0 < model.ema_decay < 1:
+                raise ConfigError("model.ema_decay must lie strictly between 0 and 1")
+            if min(model.steps, model.batch_size) < 1:
+                raise ConfigError("model.steps and model.batch_size must be at least 1")
+            if len(cfg.scene.velocity) != 2 or not all(map(math.isfinite, cfg.scene.velocity)):
+                raise ConfigError("scene.velocity must be two finite numbers")
             if not (all(math.isfinite(v) and v >= 0 for v in (*cycle, cfg.blackout_h))
                     and sum(cycle) > 0):
                 raise ConfigError("splits.cycle_days and blackout_h must be finite and "

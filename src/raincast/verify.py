@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .intensity import BinSet
 from .probcast import crps
@@ -183,18 +182,25 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
-    r = np.arange(window) - (window - 1) / 2.0
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+def _gaussian_band(n: int) -> np.ndarray:
+    """(n, n - SSIM_WINDOW + 1) band matrix whose column j holds the normalised
+    1-D Gaussian at rows j to j + SSIM_WINDOW - 1: ``x @ band`` is the Gaussian-weighted
+    mean of every interior window along the last axis of x."""
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(r**2) / (2.0 * SSIM_SIGMA**2))
+    g /= g.sum()
+    k = np.arange(n)[:, None] - np.arange(n - SSIM_WINDOW + 1)
+    return np.where((k >= 0) & (k < SSIM_WINDOW), g[k.clip(0, SSIM_WINDOW - 1)], 0.0)
 
 
 def ssim(pred, obs) -> float:
     """Mean structural similarity over all fully interior Gaussian windows.
 
     The dynamic range is taken from the observation field.  Inputs must be
-    sentinel-free and at least ``SSIM_WINDOW`` pixels on each side.
+    sentinel-free and at least ``SSIM_WINDOW`` pixels on each side.  The
+    local means of p, o, p^2, o^2 and p*o come from one stack filtered by
+    the separable Gaussian, along W and then along H, each a product with
+    a band matrix of the normalised 1-D kernel.
     """
     pred = np.asarray(pred, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
@@ -209,16 +215,12 @@ def ssim(pred, obs) -> float:
         dyn = 1.0
     c1 = (SSIM_K1 * dyn) ** 2
     c2 = (SSIM_K2 * dyn) ** 2
-    kern = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-
-    def local(img):
-        return np.einsum("ijkl,kl->ij", sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW)), kern)
-
-    mu_p = local(pred)
-    mu_o = local(obs)
-    var_p = local(pred * pred) - mu_p**2
-    var_o = local(obs * obs) - mu_o**2
-    cov = local(pred * obs) - mu_p * mu_o
+    h, w = pred.shape
+    maps = np.stack([pred, obs, pred * pred, obs * obs, pred * obs])
+    mu_p, mu_o, e_pp, e_oo, e_po = _gaussian_band(h).T @ (maps @ _gaussian_band(w))
+    var_p = e_pp - mu_p**2
+    var_o = e_oo - mu_o**2
+    cov = e_po - mu_p * mu_o
     num = (2 * mu_p * mu_o + c1) * (2 * cov + c2)
     den = (mu_p**2 + mu_o**2 + c1) * (var_p + var_o + c2)
     return float(np.mean(num / den))

@@ -73,6 +73,20 @@ class TestConfig:
         ("model.lr", 0.0),
         ("model.lr", float("nan")),
         ("model.lr", float("inf")),
+        ("model.rate_cap", 0.0),
+        ("model.rate_cap", -1.0),
+        ("model.rate_cap", float("inf")),
+        ("model.alpha", 0.5),
+        ("model.alpha", float("nan")),
+        ("model.ema_decay", 1.5),
+        ("model.ema_decay", 1.0),
+        ("model.ema_decay", 0.0),
+        ("model.ema_decay", float("nan")),
+        ("model.steps", 0),
+        ("model.batch_size", 0),
+        ("scene.velocity", [float("nan"), 0.0]),
+        ("scene.velocity", [1.0, float("inf")]),
+        ("scene.velocity", [1.0]),
     ])
     def test_nonpositive_scores_rejected(self, tmp_path, key, values):
         doc = json.loads(json.dumps(BASE_CONFIG))

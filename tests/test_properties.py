@@ -1,7 +1,7 @@
 """Property tests: invariants of the loss and reconstruction math checked on
 generated shapes, sentinel holes and lead weights; the tape convolutions, the
-motion search, the space-to-depth rearrangement and the calibration CSI curve
-against their loop oracles; and the artifact codec on generated arrays and
+motion search, the space-to-depth rearrangement, the calibration CSI curve and
+SSIM against their loop oracles; and the artifact codec on generated arrays and
 damage."""
 
 import tempfile
@@ -27,6 +27,7 @@ from raincast.probcast import (
     reconstruct,
 )
 from raincast.raster import SENTINEL, depth_to_space_array, space_to_depth_array
+from raincast.verify import ssim
 
 from oracles import (
     conv3x3_loop,
@@ -34,6 +35,7 @@ from oracles import (
     msd_surface_loop,
     ordinal_loss_loop,
     space_to_depth_loop,
+    ssim_loop,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -110,12 +112,18 @@ def frame_pairs(draw):
     return frames, search
 
 
+def exact_decision(frames, search):
+    """The motion decision read from the whole exact surface."""
+    surface = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
+    return baseline._decide(surface, search)
+
+
 class TestMotionSearch:
     @SETTINGS
     @given(frame_pairs())
     def test_surface_matches_shift_loop(self, case):
         frames, search = case
-        got = baseline._msd_surface(frames[0], frames[1], search)
+        got = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
         want = msd_surface_loop(frames[0], frames[1], search)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
@@ -128,11 +136,61 @@ class TestMotionSearch:
         # with no valid pixel pair at any shift there is nothing to estimate
         assume(not np.isinf(msd_surface_loop(frames[0], frames[1], search)).all())
         got = baseline.estimate_motion(frames, search)
-        with mock.patch.object(baseline, "_msd_surface", msd_surface_loop):
-            want = baseline.estimate_motion(frames, search)
-        assert got.vx == pytest.approx(want.vx, rel=1e-12, abs=1e-12)
-        assert got.vy == pytest.approx(want.vy, rel=1e-12, abs=1e-12)
-        assert got.low_confidence == want.low_confidence
+        assert (got.vx, got.vy, got.low_confidence) == exact_decision(frames, search)
+
+    @SETTINGS
+    @given(frame_pairs())
+    def test_estimate_bound_holds_candidates_cover_the_minimum(self, case):
+        frames, search = case
+        exact = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
+        est, bound = baseline._msd_estimate(frames[0], frames[1], search)
+        # the rounded FFT count is zero exactly where no valid pixels overlap
+        assert np.array_equal(np.isinf(est), np.isinf(exact))
+        finite = np.isfinite(exact)
+        assert np.all(np.abs(est[finite] - exact[finite]) <= bound[finite])
+        cand = baseline._candidates(est, bound)
+        assert np.all(cand[exact == exact.min()])
+        assert np.all(exact[~cand] > exact.min())
+
+    @SETTINGS
+    @given(frame_pairs(), st.sampled_from([1e-9, 1e-3, 0.3, 10.0]), st.integers(0, 2**32 - 1))
+    def test_any_estimate_within_its_bound_gives_the_exact_decision(self, case, scale, seed):
+        """An adversarial estimate anywhere inside a loose bound: the exact rows
+        and, near the flatness boundary, the exact fallback recover the decision."""
+        frames, search = case
+        assume(not np.isinf(msd_surface_loop(frames[0], frames[1], search)).all())
+        exact = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
+        finite = np.isfinite(exact)
+        bound = np.where(finite, scale * (1.0 + np.abs(np.where(finite, exact, 0.0))), 0.0)
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=exact.shape)
+        est = np.where(finite, exact + 0.5 * bound * noise, np.inf)
+        with mock.patch.object(baseline, "_msd_estimate", lambda *a: (est.copy(), bound)):
+            got = baseline.estimate_motion(frames, search)
+        assert (got.vx, got.vy, got.low_confidence) == exact_decision(frames, search)
+
+    def test_flat_boundary_falls_back_to_the_exact_surface(self):
+        """A bound wider than the gap to the flatness boundary recomputes every
+        row, even where no candidate asks for it."""
+        ys, xs = np.mgrid[0:16, 0:16]
+        frames = np.stack([5.0 * np.exp(-((ys - 8) ** 2 + (xs - 7 - k) ** 2) / 8.0) for k in (0, 1)])
+        search = 4
+        exact = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
+        # a valid estimate whose one loose cell, in row 0, is no candidate
+        est, bound = exact.copy(), np.zeros_like(exact)
+        est[0, 0] += 1e6
+        bound[0, 0] = 1e6
+        calls = []
+        rows = baseline._msd_rows
+
+        def spy(f_prev, f_next, s, r):
+            calls.append(list(r))
+            return rows(f_prev, f_next, s, r)
+
+        with mock.patch.object(baseline, "_msd_estimate", lambda *a: (est.copy(), bound)), \
+                mock.patch.object(baseline, "_msd_rows", spy):
+            got = baseline.estimate_motion(frames, search)
+        assert calls == [[search - 1, search, search + 1], list(range(2 * search + 1))]
+        assert (got.vx, got.vy, got.low_confidence) == exact_decision(frames, search)
 
 
 @st.composite
@@ -202,6 +260,29 @@ class TestCsiCurve:
                                             max_size=8)))
         got = _csi_curve(np.array(p), events, cand)
         np.testing.assert_array_equal(got, csi_curve_loop(p, events, cand))
+
+
+def rain_field(rng, kind, shape):
+    """Uniform rain, sparse rain (about nine pixels in ten dry) or one constant."""
+    if kind == "constant":
+        return np.full(shape, rng.uniform(0, 10))
+    field = rng.uniform(0, 10, size=shape)
+    return field * (rng.uniform(size=shape) < 0.1) if kind == "sparse" else field
+
+
+class TestSsim:
+    """``ssim`` against the window-by-window loop.  Near-constant fields (a
+    range of about 1e-4 around 3) are left out.  Their variances cancel
+    catastrophically in every form, so a 2-D window and the separable filter
+    alike miss the loop by 1e-6 to 3e-6 there."""
+
+    @SETTINGS
+    @given(st.integers(11, 24), st.integers(11, 24), st.sampled_from(["uniform", "sparse"]),
+           st.sampled_from(["uniform", "sparse", "constant"]), st.integers(0, 2**32 - 1))
+    def test_matches_window_loop(self, h, w, pred_kind, obs_kind, seed):
+        rng = np.random.default_rng(seed)
+        pred, obs = rain_field(rng, pred_kind, (h, w)), rain_field(rng, obs_kind, (h, w))
+        assert abs(ssim(pred, obs) - ssim_loop(pred, obs)) <= 1e-12
 
 
 def f32_arrays(min_side=0):
