@@ -84,7 +84,7 @@ def integrated_gradients(params: ParamSet, frames: np.ndarray, target, steps: in
             tgt = (0, *target[1:]) if config.mode == "lead-conditioned" else target
             weights = _target_weights(out.value.shape, tgt)
         scalar = tape.weighted_sum(out, weights)
-        tape.backward(scalar)
+        tape.backward(scalar, wrt=(x_leaf,))
         return float(scalar.value), x_leaf.grad[0]
 
     baseline = x0.min(axis=(-2, -1), keepdims=True)  # per-channel minimum

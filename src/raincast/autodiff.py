@@ -2,16 +2,20 @@
 
 Operations are recorded on a :class:`Tape` in execution order; reverse
 iteration over the recorded ops is reverse topological order, so a single
-backward sweep accumulates exact gradients.  Only the handful of ops the
-miniature forecaster needs are provided, each with a hand-written
-vector-Jacobian product; the two loss ops take value and gradient from the
-loss kernels in :mod:`raincast.probcast`.
+backward sweep accumulates exact gradients.  A sweep may be restricted to
+some leaves (``backward(root, wrt=...)``): the others are marked as needing
+no gradient, and the convolutions then skip their weight and bias products.
+Integrated gradients reads only the input's gradient and sweeps that way;
+training takes every gradient.  Only the handful of ops the miniature
+forecaster needs are provided, each with a hand-written vector-Jacobian
+product; the two loss ops take value and gradient from the loss kernels in
+:mod:`raincast.probcast`.
 
 The convolutions are GEMMs on NCHW float64 arrays.  ``conv1x1`` multiplies
-the (C, H*W) planes of each sample.  ``conv3x3`` lays its input out as
-channels-first (9C, B*H*W) im2col columns, so its forward, weight gradient
-and input gradient are one 2-D GEMM each; its backward closure rebuilds the
-columns rather than keeping them alive on the tape.
+the (C, H*W) planes of each sample.  ``conv3x3`` lays out channels-first
+(9C, B*H*W) im2col columns twice: of its input in the forward and of the
+incoming gradient in the backward.  Its forward, weight gradient and input
+gradient are one 2-D GEMM each, and no columns stay alive on the tape.
 """
 
 import numpy as np
@@ -22,12 +26,8 @@ from .raster import depth_to_space_array, space_to_depth_array
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow for either sign of v."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
@@ -50,22 +50,32 @@ def _im2col(x: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """A tape node: a float64 array plus its accumulated gradient."""
+    """A tape node: a float64 array plus its accumulated gradient.
 
-    __slots__ = ("value", "grad")
+    ``needs_grad`` is False on a leaf the current backward sweep was not
+    asked for; ``add_grad`` then drops what it is given.
+    """
+
+    __slots__ = ("value", "grad", "needs_grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self.needs_grad = True
 
     @property
     def shape(self):
         return self.value.shape
 
     def add_grad(self, g):
+        if not self.needs_grad:
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # 0 + g, as accumulating into zeros would give: -0.0 becomes +0.0,
+            # and the new array never aliases g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+        else:
+            self.grad += g
 
 
 class Tape:
@@ -77,21 +87,30 @@ class Tape:
 
     def __init__(self):
         self._ops = []
-        self._nodes = []
+        self._leaves = []
 
     def leaf(self, value) -> Tensor:
         t = Tensor(value)
-        self._nodes.append(t)
+        self._leaves.append(t)
         return t
 
     def _push(self, out: Tensor, bwd):
-        self._nodes.append(out)
         self._ops.append((out, bwd))
 
-    def backward(self, root: Tensor):
-        """Accumulate d(root)/d(node) into every node's .grad."""
-        for n in self._nodes:
-            n.grad = None
+    def backward(self, root: Tensor, wrt=None):
+        """Accumulate d(root)/d(node) into .grad of every op output and of
+        the leaves in ``wrt`` (every leaf when ``wrt`` is None).
+
+        The other leaves keep ``grad = None`` and are marked as needing
+        none, so the ops that feed them skip that work: a conv whose weight
+        and bias are such leaves runs only its input-gradient product.
+        """
+        keep = None if wrt is None else set(wrt)
+        for t in self._leaves:
+            t.grad = None
+            t.needs_grad = keep is None or t in keep
+        for out, _ in self._ops:
+            out.grad = None
         root.grad = np.ones_like(root.value)
         for out, bwd in reversed(self._ops):
             if out.grad is not None:
@@ -146,9 +165,11 @@ class Tape:
         out = Tensor((w.value @ xm).reshape(B, O, H, W) + b.value[:, None, None])
 
         def bwd(g):
-            b.add_grad(g.sum(axis=(0, 2, 3)))
             gm = g.reshape(B, O, H * W)
-            w.add_grad(np.tensordot(gm, xm, axes=([0, 2], [0, 2])))  # O,C
+            if b.needs_grad:
+                b.add_grad(g.sum(axis=(0, 2, 3)))
+            if w.needs_grad:
+                w.add_grad(np.tensordot(gm, xm, axes=([0, 2], [0, 2])))  # O,C
             x.add_grad((w.value.T @ gm).reshape(B, C, H, W))
 
         self._push(out, bwd)
@@ -159,18 +180,23 @@ class Tape:
 
         The forward, the weight gradient and the input gradient are one 2-D
         GEMM each over :func:`_im2col` columns, laid out channels-first as
-        (9C, B*H*W):
+        (9C, B*H*W).  The columns of x are built once, in the forward, and
+        those of g once, in the backward:
 
         - forward: ``w.reshape(O, 9C) @ cols(x)``
-        - weight gradient: ``g(O, B*H*W) @ cols(x).T``
+        - weight gradient: ``cols(g) @ x(C, B*H*W).T``.  Row (o, ky, kx) of
+          the product is g shifted by (ky - 1, kx - 1) against x, which is
+          tap (2 - ky, 2 - kx) of the kernel, so the rows are read back
+          flipped.
         - input gradient: the flipped, transposed kernel (C, 9O) times
           ``cols(g)``, a full correlation of g.  Each input pixel sums over
           (o, ky, kx) in one GEMM, so gradients keep the bits of a direct
           sum in that order; a col2im scatter-add of ``w.T @ g`` would sum
           over o first and then over the nine taps.
 
-        The backward closure rebuilds the columns of x rather than keeping
-        them alive on the tape: at B=8 they are nine times the input.
+        No columns stay alive on the tape: at B=8 they are nine times the
+        input.  The weight and bias products run only when their leaves
+        need a gradient.
         """
         B, C, H, W = x.value.shape
         O = w.value.shape[0]
@@ -180,10 +206,13 @@ class Tape:
         out = Tensor(value)
 
         def bwd(g):
-            b.add_grad(g.sum(axis=(0, 2, 3)))
+            if b.needs_grad:
+                b.add_grad(g.sum(axis=(0, 2, 3)))
             gcols = _im2col(g)
-            gm = gcols.reshape(O, 9, B * H * W)[:, 4]  # the centre tap is g itself
-            w.add_grad((gm @ _im2col(x.value).T).reshape(O, C, 3, 3))
+            if w.needs_grad:
+                xcf = x.value.transpose(1, 0, 2, 3).reshape(C, B * H * W)
+                gw = (gcols @ xcf.T).reshape(O, 3, 3, C)
+                w.add_grad(gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
             wt = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, 9 * O)
             x.add_grad((wt @ gcols).reshape(C, B, H, W).transpose(1, 0, 2, 3))
 

@@ -13,11 +13,12 @@ Subcommands mirror the pipeline stages::
 
 Every stage checks each artifact it reads: that it exists, that its header is
 valid JSON and holds the fields the stage reads in a form the stage can
-decode (a ``model.json`` config of known keys, a positive ``res_km``,
-threshold table edges equal to the configured bins), that the config hash in it
-matches the current config (``eval --force`` waives only this check) and, for
-``frames``, ``model`` and ``predictions_<model>``, that the ``.f32`` payload
-has the length and sha256 its header records.
+decode (a ``model.json`` config and tensor shapes equal to the run's, a
+positive ``res_km``, one split label per frame, forecast origins inside the
+frame stack, threshold table edges equal to the configured bins), that the
+config hash in it matches the current config (``eval --force`` waives only
+this check) and, for ``frames``, ``model`` and ``predictions_<model>``, that
+the ``.f32`` payload has the length and sha256 its header records.
 
 Exit codes: 0 success, 2 missing or damaged upstream artifact (the message
 names the path), 3 configuration/schema violation, including an artifact

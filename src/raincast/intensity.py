@@ -70,10 +70,11 @@ class BinSet:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(float(e) for e in self.edges))
         e = np.asarray(self.edges)
-        if len(e) == 0 or e[0] <= 0 or (len(e) > 1 and np.any(np.diff(e) <= 0)):
-            raise ValueError("edges must be strictly increasing and positive")
-        if self.top_width <= 0:
-            raise ValueError("top_width must be positive")
+        if (len(e) == 0 or not np.all(np.isfinite(e)) or e[0] <= 0
+                or (len(e) > 1 and np.any(np.diff(e) <= 0))):
+            raise ValueError("edges must be finite, strictly increasing and positive")
+        if not (np.isfinite(self.top_width) and self.top_width > 0):
+            raise ValueError("top_width must be finite and positive")
 
     @property
     def n_classes(self) -> int:

@@ -378,7 +378,11 @@ def save_checkpoint(base: str | Path, params: ParamSet, extra: dict | None = Non
 def load_checkpoint(base: str | Path) -> ParamSet:
     manifest, arrays = artifact.read(base)
     names = sorted(manifest["tensors"])
+    has_ema = manifest["has_ema"]
+    if type(has_ema) is not bool or ([list(a.shape) for a in arrays]
+                                     != [manifest["tensors"][k] for k in names] * (1 + has_ema)):
+        raise ValueError("the payload does not hold the tensors the header lists")
     tensors = dict(zip(names, arrays))
-    ema = dict(zip(names, arrays[len(names):])) if manifest["has_ema"] else None
+    ema = dict(zip(names, arrays[len(names):])) if has_ema else None
     config = ModelConfig(**manifest["config"])
     return ParamSet(tensors=tensors, config=config, step=manifest["step"], ema=ema)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .attribution import integrated_gradients
 from .intensity import BinSet, exceedance_masks
 from .micromodel import (
     ModelConfig,
+    init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -43,9 +45,23 @@ class ConfigError(ValueError):
 
 
 def _take(doc: dict, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _typed(value, kind) -> bool:
+    """Whether a config field holds a value of its declared type: an int or a
+    bool exactly, a float as a finite int or float, a tuple item by item."""
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    if kind in (int, bool, str):
+        return type(value) is kind
+    items = get_args(kind)  # tuple[float, ...] fields of a fixed length
+    return (isinstance(value, tuple) and len(value) == len(items)
+            and all(map(_typed, value, items)))
 
 
 @dataclass(frozen=True)
@@ -109,22 +125,26 @@ class RunConfig:
                 model=ModelConfig(**model_doc),
                 out_dir=doc.get("out_dir"),
             )
+            for where, section in (("scene", cfg.scene), ("model", cfg.model)):
+                for f in section.__dataclass_fields__.values():
+                    if not _typed(getattr(section, f.name), f.type):
+                        raise ConfigError(f"{where}.{f.name} has the wrong type or is not finite")
+            scene, model = cfg.scene, cfg.model
             positive = {"thresholds": cfg.thresholds, "windows_km": cfg.windows_km,
                         "timeline.days": (cfg.timeline_days,),
-                        "timeline.step_min": (cfg.step_min,), "model.lr": (cfg.model.lr,),
-                        "model.rate_cap": (cfg.model.rate_cap,)}
+                        "timeline.step_min": (cfg.step_min,), "model.lr": (model.lr,),
+                        "model.rate_cap": (model.rate_cap,), "scene.res_km": (scene.res_km,),
+                        "scene.rate_cap": (scene.rate_cap,),
+                        "scene.radius_range": scene.radius_range}
             for key, values in positive.items():
                 if not all(math.isfinite(v) and v > 0 for v in values):
                     raise ConfigError(f"{key} must all be finite and positive")
-            model = cfg.model
-            if not (math.isfinite(model.alpha) and model.alpha >= 1):
-                raise ConfigError("model.alpha must be finite and at least 1")
+            if model.alpha < 1:
+                raise ConfigError("model.alpha must be at least 1")
             if not 0 < model.ema_decay < 1:
                 raise ConfigError("model.ema_decay must lie strictly between 0 and 1")
             if min(model.steps, model.batch_size) < 1:
                 raise ConfigError("model.steps and model.batch_size must be at least 1")
-            if len(cfg.scene.velocity) != 2 or not all(map(math.isfinite, cfg.scene.velocity)):
-                raise ConfigError("scene.velocity must be two finite numbers")
             if not (all(math.isfinite(v) and v >= 0 for v in (*cycle, cfg.blackout_h))
                     and sum(cycle) > 0):
                 raise ConfigError("splits.cycle_days and blackout_h must be finite and "
@@ -181,22 +201,23 @@ class RunConfig:
 # stage inputs
 
 
-def _has(node, path: list) -> bool:
-    """Whether ``node`` holds the field at ``path``; a ``*`` step requires the
+def _has(node, path: list, kind: type = object) -> bool:
+    """Whether ``node`` holds a ``kind`` at ``path``; a ``*`` step requires the
     rest of the path in every item of a list."""
     if not path:
-        return True
+        return isinstance(node, kind)
     head, *rest = path
     if head == "*":
-        return isinstance(node, list) and all(_has(item, rest) for item in node)
-    return isinstance(node, dict) and head in node and _has(node[head], rest)
+        return isinstance(node, list) and all(_has(item, rest, kind) for item in node)
+    return isinstance(node, dict) and head in node and _has(node[head], rest, kind)
 
 
-def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
+def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=None):
     """Every stage input comes through here: check that the artifact at
     ``base`` was written under ``cfg`` and that its header holds every dotted
-    field in ``keys`` the stage reads, then return ``load(base)``, or the
-    header itself for an artifact without a payload.
+    field in ``keys`` the stage reads, with the type ``keys`` maps it to, then
+    return ``load(base)``, or the header itself for an artifact without a
+    payload.
 
     ``force`` waives the config check only; a loader always checks the payload.
     A missing field, a header field a loader lacks, or one it cannot decode is
@@ -209,7 +230,7 @@ def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
             f"{path} was produced by config {header.get('config_hash')}, "
             f"current is {cfg.hash}; rerun the stage that writes it"
         )
-    missing = [key for key in keys if not _has(header, key.split("."))]
+    missing = [key for key, kind in (keys or {}).items() if not _has(header, key.split("."), kind)]
     if missing:
         raise DamagedArtifactError(f"{path}: header lacks {', '.join(missing)}")
     try:
@@ -223,11 +244,28 @@ def _read(cfg: RunConfig, base: Path, load=None, force: bool = False, keys=()):
 def _split_windows(cfg: RunConfig, out: Path, split: str):
     """The frame stack and the origins of the windows inside one split."""
     stack = _read(cfg, out / "frames", load_raster)
-    labels = _read(cfg, out / "splits", keys=("labels",))["labels"]
+    labels = _read(cfg, out / "splits", keys={"labels": list})["labels"]
+    if len(labels) != len(stack.data):
+        raise DamagedArtifactError(f"{out / 'splits.json'}: {len(labels)} labels "
+                                   f"for {len(stack.data)} frames")
     origins = _window_origins(labels, split, cfg.model.t_in, cfg.model.t_out)
     if not origins:
         raise ConfigError(f"no {split} windows fit inside the {split} split")
     return stack, origins
+
+
+def _read_model(cfg: RunConfig, out: Path):
+    """The checkpoint, which must hold the run's own model config and the
+    tensor shapes that config gives."""
+    shapes = {k: v.shape for k, v in init_params(cfg.model).tensors.items()}
+
+    def load(base):
+        params = load_checkpoint(base)
+        if params.config != cfg.model or {k: v.shape for k, v in params.tensors.items()} != shapes:
+            raise ValueError("its model config or tensor shapes are not the run's")
+        return params
+
+    return _read(cfg, out / "model", load)
 
 
 def _window_origins(labels, split: str, t_in: int, t_out: int):
@@ -287,7 +325,7 @@ def _lead_minutes(cfg: RunConfig) -> tuple[float, ...]:
 
 def stage_calibrate(cfg: RunConfig, out: Path) -> None:
     stack, origins = _split_windows(cfg, out, "val")
-    params = _read(cfg, out / "model", load_checkpoint)
+    params = _read_model(cfg, out)
     cubes, masks = [], []
     for inp, tgt in _samples(stack.data[:, 0], origins, cfg.model.t_in, cfg.model.t_out):
         cubes.append(predict(params, inp))
@@ -303,10 +341,10 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
     t_in, t_out = cfg.model.t_in, cfg.model.t_out
     rates_all, probs_all = [], []
     if model == "micromodel":
-        params = _read(cfg, out / "model", load_checkpoint)
+        params = _read_model(cfg, out)
         table = _read(cfg, out / "thresholds", lambda base: ThresholdTable.from_json(
             json.dumps(artifact.read_header(base)["table"]), cfg.bins.edges),
-            keys=("table.thresholds", "table.edges"))
+            keys={"table.thresholds": object, "table.edges": object})
     for inp, _tgt in _samples(stack.data[:, 0], origins, t_in, t_out):
         if model == "micromodel":
             cube = predict(params, inp)
@@ -337,9 +375,20 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
 def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
                plot_data: bool = False) -> None:
     frames = _read(cfg, out / "frames", load_raster, force).data[:, 0]
-    doc, (rates, *probs) = _read(cfg, out / f"predictions_{model}", artifact.read, force,
-                                 keys=("origin_indices", "lead_min"))
     t_out = cfg.model.t_out
+
+    def load(base):
+        doc, arrays = artifact.read(base)
+        origins = doc["origin_indices"]
+        if len(origins) != len(arrays[0]) or not all(
+                type(i) is int and 0 <= i < len(frames) - t_out for i in origins):
+            raise ValueError("origin_indices do not index the frames")
+        if not all(_typed(v, float) for v in doc["lead_min"]):
+            raise ValueError("lead_min holds a value that is not a finite number")
+        return doc, arrays
+
+    doc, (rates, *probs) = _read(cfg, out / f"predictions_{model}", load, force,
+                                 keys={"origin_indices": list, "lead_min": list})
     samples = []
     for j, i in enumerate(doc["origin_indices"]):
         obs = frames[i + 1 : i + 1 + t_out]
@@ -372,7 +421,7 @@ def stage_attribute(cfg: RunConfig, out: Path, lead: int = 0, class_index: int =
     if steps < 1:
         raise ConfigError(f"--steps {steps} must be at least 1")
     stack, origins = _split_windows(cfg, out, "test")
-    params = _read(cfg, out / "model", load_checkpoint)
+    params = _read_model(cfg, out)
     inp = stack.data[origins[0] - cfg.model.t_in + 1 : origins[0] + 1, 0]
     result = integrated_gradients(params, inp, (lead, class_index, None), steps=steps)
     names = _plane_names(cfg)
@@ -399,7 +448,8 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
     lines = ["model," + ",".join(fields)]
     plot_lines = list(lines)
     for path in reports:
-        doc = _read(cfg, path.with_suffix(""), keys=("model", "macro", *(f"rows.*.{k}" for k in fields)))
+        doc = _read(cfg, path.with_suffix(""), keys={
+            "model": str, "macro": dict, **{f"rows.*.{k}": object for k in fields}})
         model = doc["model"]
         rows = [csv_row(model, *(row[k] for k in fields)) for row in doc["rows"]]
         lines += rows + [csv_row(model, m, "all", "all", v) for m, v in sorted(doc["macro"].items())]

@@ -260,3 +260,15 @@ def csi_curve_loop(p, events, candidates):
                 fn += 1
         out.append(csi_loop(tp, fp, fn))
     return np.array(out)
+
+
+def sigmoid_loop(v):
+    """Logistic function one element at a time, by the sign of each input."""
+    out = []
+    for x in np.asarray(v, dtype=np.float64).ravel():
+        if x >= 0:
+            out.append(1.0 / (1.0 + np.exp(-x)))
+        else:
+            ex = np.exp(x)
+            out.append(ex / (1.0 + ex))
+    return np.array(out).reshape(np.shape(v))

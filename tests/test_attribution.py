@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from raincast.attribution import integrated_gradients, integrated_gradients_fn
-from raincast.micromodel import ModelConfig, init_params
+from raincast.attribution import _target_weights, integrated_gradients, integrated_gradients_fn
+from raincast.micromodel import ModelConfig, encode_input, forward_encoded, init_params
 
 
 class TestGenericRoutine:
@@ -87,3 +87,35 @@ class TestModelAttribution:
         res = integrated_gradients(params, frames, target=(0, 0, None), steps=32)
         total = res["attribution"].sum()
         assert total == pytest.approx(res["per_channel"].sum(), rel=1e-12)
+
+
+def ig_full_sweep(params, frames, target, steps):
+    """integrated_gradients rebuilt on integrated_gradients_fn, each tape swept
+    back into every leaf, the parameters included."""
+    config = params.config
+    lead_idx = target[0] if config.mode == "lead-conditioned" else None
+    tgt = (0, *target[1:]) if config.mode == "lead-conditioned" else target
+    x0 = encode_input(frames, config, lead_idx)
+
+    def value_and_grad(x_enc):
+        out, tape, x_leaf = forward_encoded(params, x_enc[None])
+        scalar = tape.weighted_sum(out, _target_weights(out.value.shape, tgt))
+        tape.backward(scalar)
+        assert all(leaf.grad is not None for leaf in tape.param_leaves.values())
+        return float(scalar.value), x_leaf.grad[0]
+
+    return integrated_gradients_fn(value_and_grad, x0, x0.min(axis=(-2, -1), keepdims=True), steps)
+
+
+class TestInputOnlySweep:
+    @pytest.mark.parametrize("mode", ["single-pass", "lead-conditioned"])
+    def test_equals_oracle_with_full_backward(self, mode):
+        cfg = ModelConfig(t_in=3, t_out=2, k_classes=2, channels=8, n_blocks=2, seed=2, mode=mode)
+        params = randomized_params(cfg, seed=10)
+        frames = np.random.default_rng(11).uniform(0, 8, size=(3, 16, 16))
+        target = (1, 1, None)
+        got = integrated_gradients(params, frames, target, steps=8)
+        want = ig_full_sweep(params, frames, target, steps=8)
+        assert np.array_equal(got["attribution"], want["attribution"])
+        for key in ("value", "baseline_value", "completeness_gap"):
+            assert got[key] == want[key], key

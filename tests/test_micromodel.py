@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from raincast import micromodel
 from raincast.intensity import BinSet, classify
 from raincast.micromodel import (
     DivergenceError,
@@ -107,6 +110,27 @@ class TestGradients:
                 max_rel = max(max_rel, rel)
                 it.iternext()
         assert max_rel <= 1e-4
+
+
+class TestTrainingGradients:
+    def test_every_training_step_gets_every_parameter_gradient(self):
+        # _leaf_grads reads a leaf left without a gradient as zeros, so a sweep
+        # that skipped the parameters would still train, on zero gradients
+        cfg = ModelConfig(t_in=2, t_out=2, k_classes=2, channels=8, n_blocks=1, seed=4,
+                          steps=3, batch_size=2, use_ema=False)
+        seen = []
+
+        def spy(tape, params):
+            seen.append({name: leaf.grad is not None for name, leaf in tape.param_leaves.items()})
+            return _leaf_grads(tape, params)
+
+        dataset = advection_dataset(t_frames=12, t_in=2, t_out=2)
+        with mock.patch.object(micromodel, "_leaf_grads", spy):
+            params, _ = train(dataset, cfg, BinSet((0.5, 2.0)))
+        assert len(seen) == cfg.steps
+        for step in seen:
+            assert set(step) == set(params.tensors)
+            assert all(step.values())
 
 
 class TestAblationGradients:

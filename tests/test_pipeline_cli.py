@@ -87,6 +87,17 @@ class TestConfig:
         ("scene.velocity", [float("nan"), 0.0]),
         ("scene.velocity", [1.0, float("inf")]),
         ("scene.velocity", [1.0]),
+        ("timeline", []),
+        ("bins.edges", [float("nan"), 2.0]),
+        ("bins.top_width", float("nan")),
+        ("model.t_out", float("nan")),
+        ("model.steps", 2.5),
+        ("model.use_ema", 1),
+        ("scene.n_cells", float("nan")),
+        ("scene.radius_range", [float("nan"), 4.0]),
+        ("scene.radius_range", [0.0, 4.0]),
+        ("scene.res_km", 0.0),
+        ("scene.rate_cap", -1.0),
     ])
     def test_nonpositive_scores_rejected(self, tmp_path, key, values):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -242,12 +253,34 @@ class TestDamagedArtifacts:
         ("thresholds.json", lambda doc: doc["table"]["thresholds"][0].__setitem__(0, 7.0),
          ["predict", "--model", "micromodel"]),
         ("frames.json", lambda doc: doc.pop("timesteps_min"), ["split"]),
+        ("model.json", lambda doc: doc["config"].update(k_classes=float("nan")), ["calibrate"]),
+        ("model.json", lambda doc: doc["config"].pop("n_blocks"), ["predict", "--model", "micromodel"]),
+        ("model.json", lambda doc: doc["config"].update(rate_cap="32"), ["attribute"]),
+        ("model.json", lambda doc: doc.update(has_ema=1), ["calibrate"]),
+        ("model.json", lambda doc: doc["tensors"].pop("head.b"), ["calibrate"]),
+        ("splits.json", lambda doc: doc.update(labels=0), ["train"]),
+        ("splits.json", lambda doc: doc["labels"].append("test"), ["attribute"]),
+        ("predictions_micromodel.json", lambda doc: doc.update(origin_indices=0),
+         ["eval", "--model", "micromodel"]),
+        ("predictions_micromodel.json", lambda doc: doc["origin_indices"].__setitem__(0, "7"),
+         ["eval", "--model", "micromodel"]),
+        ("predictions_micromodel.json", lambda doc: doc["origin_indices"].__setitem__(0, 10**6),
+         ["eval", "--model", "micromodel"]),
+        ("predictions_micromodel.json", lambda doc: doc.update(lead_min=0),
+         ["eval", "--model", "micromodel"]),
+        ("report_micromodel.json", lambda doc: doc.update(macro=[]), ["report"]),
     ], ids=["unknown-model-key", "zero-res", "other-bin-edges", "threshold-outside-0-1",
-            "no-timesteps"])
+            "no-timesteps", "nan-model-field", "dropped-model-field", "model-field-type",
+            "has-ema-not-bool", "dropped-tensor", "labels-not-a-list", "label-per-frame",
+            "origins-not-a-list", "origin-not-an-int", "origin-past-the-frames",
+            "lead-min-not-a-list", "macro-not-an-object"])
     def test_header_a_loader_cannot_decode_exits_two(self, tmp_path, capsys, predicted_run,
                                                       name, edit, stage):
         out = tmp_path / "out"
         shutil.copytree(predicted_run, out)
+        if name.startswith("report_"):
+            assert main(["eval", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--model", "micromodel"]) == 0
         doc = json.loads((out / name).read_text())
         edit(doc)
         (out / name).write_text(json.dumps(doc))

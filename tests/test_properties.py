@@ -1,9 +1,14 @@
 """Property tests: invariants of the loss and reconstruction math checked on
 generated shapes, sentinel holes and lead weights; the tape convolutions, the
 motion search, the space-to-depth rearrangement, the calibration CSI curve and
-SSIM against their loop oracles; and the artifact codec on generated arrays and
-damage."""
+SSIM against their loop oracles; an input-only backward sweep against a full
+one; the artifact codec on generated arrays and damage; and the CLI on
+mutated configs, stage orders and damaged artifacts."""
 
+import contextlib
+import copy
+import io
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,7 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from raincast import artifact, baseline
-from raincast.autodiff import Tape
+from raincast.autodiff import Tape, _sigmoid
+from raincast.cli import main
 from raincast.intensity import BinSet, exceedance_masks
 from raincast.probcast import (
     DEFAULT_CANDIDATES,
@@ -34,9 +40,11 @@ from oracles import (
     csi_curve_loop,
     msd_surface_loop,
     ordinal_loss_loop,
+    sigmoid_loop,
     space_to_depth_loop,
     ssim_loop,
 )
+from test_pipeline_cli import BASE_CONFIG
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -236,6 +244,77 @@ class TestConvolutions:
             np.testing.assert_allclose(a, want, rtol=0, atol=1e-12, err_msg=name)
 
 
+@st.composite
+def op_chains(draw):
+    """An input x (B,C,H,W) and 1-6 ops drawn from conv3x3, conv1x1, silu and
+    add; each conv brings its own weight and bias leaves, and an add joins the
+    current tensor with an earlier one of its shape (itself included) or with
+    a new leaf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 2)), draw(dims), draw(dims), draw(dims))
+    ops = []
+    c = shape[1]
+    for op in draw(st.lists(st.sampled_from(["conv3x3", "conv1x1", "silu", "add", "add_leaf"]),
+                            min_size=1, max_size=6)):
+        if op.startswith("conv"):
+            o = draw(dims)
+            k = (o, c, 3, 3) if op == "conv3x3" else (o, c)
+            ops.append((op, rng.normal(size=k), rng.normal(size=o)))
+            c = o
+        else:
+            ops.append((op, draw(st.integers(0, 10)), None))
+    return rng.normal(size=shape), ops, rng
+
+
+def record_chain(x, ops, rng):
+    """Record the chain on a tape; return the tape, the scalar root, the input
+    leaf and every other leaf."""
+    tape = Tape()
+    xl = tape.leaf(x)
+    params, seen, h = [], [xl], xl
+    for op, a, b in ops:
+        if op == "silu":
+            h = tape.silu(h)
+        elif op == "add":
+            same = [t for t in seen if t.shape == h.shape]
+            h = tape.add(h, same[a % len(same)])
+        elif op == "add_leaf":
+            params.append(tape.leaf(rng.normal(size=h.shape)))
+            h = tape.add(h, params[-1])
+        else:
+            wl, bl = tape.leaf(a), tape.leaf(b)
+            params += [wl, bl]
+            h = getattr(tape, op)(h, wl, bl)
+        seen.append(h)
+    root = tape.weighted_sum(h, rng.normal(size=h.shape))
+    return tape, root, xl, params
+
+
+class TestSigmoid:
+    @SETTINGS
+    @given(arrays(np.float64, st.integers(0, 20), elements=st.floats(allow_nan=False)
+                  | st.sampled_from([0.0, -0.0, 700.0, -700.0, 710.0, -710.0])))
+    def test_bits_equal_the_loop(self, v):
+        assert _sigmoid(v).tobytes() == sigmoid_loop(v).tobytes()
+
+
+class TestInputOnlySweep:
+    @SETTINGS
+    @given(op_chains())
+    def test_input_gradient_equals_full_sweep_and_parameters_get_none(self, case):
+        tape, root, xl, params = record_chain(*case)
+        tape.backward(root)
+        full = xl.grad.copy()
+        assert all(p.grad is not None for p in params)
+        tape.backward(root, wrt=[xl])
+        assert np.array_equal(xl.grad, full)
+        assert all(p.grad is None for p in params)
+        # a later full sweep on the same tape takes every gradient again
+        tape.backward(root)
+        assert np.array_equal(xl.grad, full)
+        assert all(p.grad is not None for p in params)
+
+
 class TestSpaceToDepth:
     @SETTINGS
     @given(st.integers(1, 3), st.tuples(dims, dims, dims, dims))
@@ -320,3 +399,109 @@ class TestArtifactCodec:
             payload.write_bytes(bytes(raw))
             with pytest.raises(artifact.DamagedArtifactError):
                 artifact.read(Path(tmp) / "a")
+
+
+# The CLI fuzz gate: mutated configs, stages in any order and damaged artifacts
+# must end in a documented exit code with one line on stderr, never a traceback.
+# The base is the CLI tests' config trained for two steps; dropping model.steps
+# is left out only because its 2000-step default is slow, not wrong.
+
+FUZZ_CONFIG = copy.deepcopy(BASE_CONFIG)
+FUZZ_CONFIG["model"]["steps"] = 2
+STAGE_ARGS = [["gen"], ["split"], ["train"], ["calibrate"],
+              *(["predict", "--model", m] for m in ("micromodel", "persistence", "advection")),
+              *(["eval", "--model", m] for m in ("micromodel", "persistence", "advection")),
+              ["attribute", "--steps", "2"], ["report"]]
+MUTATIONS = ["sign", "zero", "nan", "type", "drop"]
+
+
+def leaf_paths(node, prefix=()):
+    """Paths to every value below the root: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, prefix + (key,))
+
+
+def holds(node, key) -> bool:
+    return (isinstance(node, dict) and key in node) or (
+        isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def mutate(doc, path, kind):
+    """Apply one mutation at ``path`` in place; a path an earlier mutation
+    removed is skipped."""
+    parent = doc
+    for key in path[:-1]:
+        if not holds(parent, key):
+            return
+        parent = parent[key]
+    key = path[-1]
+    if not holds(parent, key):
+        return
+    value = parent[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "sign":
+        parent[key] = -value if isinstance(value, (int, float)) else value
+    elif kind == "zero":
+        parent[key] = 0
+    elif kind == "nan":
+        parent[key] = float("nan")
+    else:
+        parent[key] = {str: 1, list: "x", dict: []}.get(type(value), str(value))
+
+
+FUZZ_PATHS = [p for p in leaf_paths(FUZZ_CONFIG) if p != ("model", "steps")]
+config_mutations = st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(MUTATIONS)),
+                            max_size=3)
+
+
+def damage(path: Path, data) -> None:
+    """Truncate, flip a byte of, delete or rewrite one artifact file; a JSON
+    header may instead get one field mutated as the config is."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "rewrite", "field"]), label="damage")
+    raw = path.read_bytes()
+    if kind == "field" and path.suffix == ".json":
+        try:
+            header = json.loads(raw)
+        except ValueError:  # damaged already
+            return
+        paths = list(leaf_paths(header)) if isinstance(header, dict) else []
+        if paths:
+            mutate(header, data.draw(st.sampled_from(paths), label="field"),
+                   data.draw(st.sampled_from(MUTATIONS), label="mutation"))
+            path.write_text(json.dumps(header))
+    elif kind == "delete":
+        path.unlink()
+    elif kind == "rewrite":
+        path.write_text(data.draw(st.sampled_from(["", "[]", "{}", "null", "1", '"x"']), label="text"))
+    elif kind == "flip" and raw:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
+    else:
+        path.write_bytes(raw[: data.draw(st.integers(0, max(len(raw) - 1, 0)), label="keep")])
+
+
+class TestCliFuzz:
+    @settings(max_examples=20, deadline=None)
+    @given(config_mutations, st.integers(0, len(STAGE_ARGS)), st.data())
+    def test_exit_code_is_documented_and_error_is_one_line(self, mutations, prefix, data):
+        doc = copy.deepcopy(FUZZ_CONFIG)
+        for path, kind in mutations:
+            mutate(doc, path, kind)
+        extra = data.draw(st.lists(st.sampled_from(STAGE_ARGS), max_size=4), label="extra stages")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(doc))
+            for args in STAGE_ARGS[:prefix] + extra:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*args, "--config", str(cfg), "--out", str(out)])
+                assert code in (0, 2, 3, 4), (args, code)
+                lines = err.getvalue().splitlines()
+                assert len(lines) == (code != 0), (args, lines)
+                files = sorted(out.iterdir()) if out.is_dir() else []
+                if files and data.draw(st.booleans(), label="damage?"):
+                    damage(data.draw(st.sampled_from(files), label="file"), data)
