@@ -3,7 +3,9 @@
 Echo extrapolation estimates a single global motion vector by masked
 block matching between consecutive frames and advects the latest frame
 with a backward semi-Lagrangian scheme (unconditionally stable, standard
-in nowcasting).
+in nowcasting), every lead in one pass over whole arrays.  Overlapping
+windows share frame pairs, so ``estimate_motions`` matches each distinct
+pair once for all the windows it is given.
 
 The matching surface is estimated whole from FFT cross-correlations, with
 a per-cell error bound; the rows where the minimum can lie are then
@@ -134,7 +136,12 @@ def _candidates(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def _decide(msd: np.ndarray, search: int):
     """(vx, vy, flat) from a masked-MSD surface: the minimum, nearest zero
-    shift among ties, refined by a quadratic fit, or (0, 0, True) when flat."""
+    shift among ties, refined by a quadratic fit, or (0, 0, True) when flat.
+    A surface without a finite cell (no valid pixel pair overlaps at any
+    shift) holds nothing to match, so it is flat."""
+    finite = msd[np.isfinite(msd)]
+    if finite.size == 0:
+        return 0.0, 0.0, True
     best = msd.min()
     # prefer the shift closest to zero among ties (featureless frames match everywhere)
     ties = np.argwhere(msd == best)
@@ -142,7 +149,6 @@ def _decide(msd: np.ndarray, search: int):
     iy, ix = ties[order[0]]
     sy, sx = iy - search, ix - search
 
-    finite = msd[np.isfinite(msd)]
     med = float(np.median(finite))
     # trackable signal drives the matched MSD far below the typical mismatch;
     # pure noise leaves the surface flat (gap ~10%), real echoes reach >90%
@@ -182,25 +188,54 @@ def _pair_motion(f_prev: np.ndarray, f_next: np.ndarray, search: int):
     return _decide(msd, search)
 
 
-def estimate_motion(frames: np.ndarray, search: int = 16) -> MotionField:
-    """Global motion (px/step) from two or more consecutive frames.
+def estimate_motions(frames: np.ndarray, ends, t_in: int, search: int = 16) -> list:
+    """Global motion (px/step) of each window ``frames[e - t_in + 1 : e + 1]``,
+    one :class:`MotionField` per ``e`` in ``ends``, in that order.
 
     Each consecutive pair contributes an integer-shift estimate that
     minimizes the masked mean squared difference within +/- ``search`` px,
-    refined to sub-pixel by a quadratic fit around the minimum; the pair
-    estimates are averaged.  The (2 search + 1)^2 surface of mean squared
+    refined to sub-pixel by a quadratic fit around the minimum; a window
+    averages the estimates of its pairs, and is ``low_confidence`` when
+    every pair is flat.  The (2 search + 1)^2 surface of mean squared
     differences is estimated from four masked FFT cross-correlations, each
     cell with an absolute error bound.  The rows that may hold the minimum,
     and their neighbours, are recomputed exactly one shift row at a time;
     if the flatness test is within the bound of its boundary, every row is.
     So the result is bit for bit that of the exact surface.  Featureless or
-    pure-noise inputs yield a motion near zero flagged ``low_confidence``.
+    pure-noise pairs, and pairs with no valid pixels in common, are flat.
+
+    Overlapping windows share pairs: each distinct pair is matched once per
+    call, and its estimate is kept only for the call.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[0] < 2:
+    t_in, search = int(t_in), int(search)
+    if frames.ndim != 3 or t_in < 2:
         raise ValueError("need at least two frames")
-    vxs, vys, flats = zip(*(_pair_motion(a, b, int(search)) for a, b in zip(frames, frames[1:])))
-    return MotionField(float(np.mean(vxs)), float(np.mean(vys)), low_confidence=all(flats))
+    ends = [int(e) for e in ends]
+    outside = [e for e in ends if not t_in - 1 <= e < len(frames)]
+    if outside:
+        raise ValueError(f"the window of {t_in} frames ending at frame {outside[0]} "
+                         f"leaves the {len(frames)} frames")
+    pairs = {}
+    motions = []
+    for e in ends:
+        starts = range(e - t_in + 1, e)
+        for i in starts:
+            if i not in pairs:
+                pairs[i] = _pair_motion(frames[i], frames[i + 1], search)
+        vxs, vys, flats = zip(*(pairs[i] for i in starts))
+        motions.append(MotionField(float(np.mean(vxs)), float(np.mean(vys)),
+                                   low_confidence=all(flats)))
+    return motions
+
+
+def estimate_motion(frames: np.ndarray, search: int = 16) -> MotionField:
+    """Global motion (px/step) from two or more consecutive frames:
+    :func:`estimate_motions` of the one window that holds them all."""
+    frames = np.asarray(frames, dtype=np.float64)
+    n = len(frames) if frames.ndim == 3 else 0
+    (motion,) = estimate_motions(frames, [n - 1], n, search)
+    return motion
 
 
 def advect(frame: np.ndarray, motion: MotionField, t_out: int) -> np.ndarray:
@@ -208,38 +243,37 @@ def advect(frame: np.ndarray, motion: MotionField, t_out: int) -> np.ndarray:
 
     Lead k samples the input at x - k*v with bilinear interpolation; pixels
     that sample outside the domain, or whose interpolation touches a sentinel
-    with nonzero weight, become sentinel.
+    with nonzero weight, become sentinel.  Every lead is computed at once,
+    the lead a leading axis of each elementwise float64 op.
     """
     frame = np.asarray(frame, dtype=np.float64)
     h, w = frame.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    out = np.empty((int(t_out), h, w))
+    k = np.arange(1, int(t_out) + 1, dtype=np.float64)[:, None, None]
     sent = frame == SENTINEL
-    for k in range(1, int(t_out) + 1):
-        sy = ys - k * motion.vy
-        sx = xs - k * motion.vx
-        inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
-        y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
-        x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
-        y1 = np.minimum(y0 + 1, h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        fy = sy - y0
-        fx = sx - x0
-        w00 = (1 - fy) * (1 - fx)
-        w01 = (1 - fy) * fx
-        w10 = fy * (1 - fx)
-        w11 = fy * fx
-        val = (
-            w00 * frame[y0, x0]
-            + w01 * frame[y0, x1]
-            + w10 * frame[y1, x0]
-            + w11 * frame[y1, x1]
-        )
-        touches_sent = (
-            ((w00 > 0) & sent[y0, x0])
-            | ((w01 > 0) & sent[y0, x1])
-            | ((w10 > 0) & sent[y1, x0])
-            | ((w11 > 0) & sent[y1, x1])
-        )
-        out[k - 1] = np.where(inside & ~touches_sent, val, SENTINEL)
-    return out
+    sy = ys - k * motion.vy
+    sx = xs - k * motion.vx
+    inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
+    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
+    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = sy - y0
+    fx = sx - x0
+    w00 = (1 - fy) * (1 - fx)
+    w01 = (1 - fy) * fx
+    w10 = fy * (1 - fx)
+    w11 = fy * fx
+    val = (
+        w00 * frame[y0, x0]
+        + w01 * frame[y0, x1]
+        + w10 * frame[y1, x0]
+        + w11 * frame[y1, x1]
+    )
+    touches_sent = (
+        ((w00 > 0) & sent[y0, x0])
+        | ((w01 > 0) & sent[y0, x1])
+        | ((w10 > 0) & sent[y1, x0])
+        | ((w11 > 0) & sent[y1, x1])
+    )
+    return np.where(inside & ~touches_sent, val, SENTINEL)

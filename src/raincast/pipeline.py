@@ -141,6 +141,10 @@ class RunConfig:
                     raise ConfigError(f"{key} must all be finite and positive")
             if model.alpha < 1:
                 raise ConfigError("model.alpha must be at least 1")
+            if not 0 <= scene.hole_prob <= 1:
+                raise ConfigError("scene.hole_prob must lie in [0, 1]")
+            if min(scene.hole_radius, scene.noise_sigma) < 0:
+                raise ConfigError("scene.hole_radius and scene.noise_sigma must be nonnegative")
             if not 0 < model.ema_decay < 1:
                 raise ConfigError("model.ema_decay must lie strictly between 0 and 1")
             if min(model.steps, model.batch_size) < 1:
@@ -338,6 +342,7 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
     stack, origins = _split_windows(cfg, out, "test")
+    frames = stack.data[:, 0]
     t_in, t_out = cfg.model.t_in, cfg.model.t_out
     rates_all, probs_all = [], []
     if model == "micromodel":
@@ -345,7 +350,10 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
         table = _read(cfg, out / "thresholds", lambda base: ThresholdTable.from_json(
             json.dumps(artifact.read_header(base)["table"]), cfg.bins.edges),
             keys={"table.thresholds": object, "table.edges": object})
-    for inp, _tgt in _samples(stack.data[:, 0], origins, t_in, t_out):
+    elif model == "advection":
+        # overlapping windows share frame pairs: match each pair once
+        motions = bl.estimate_motions(frames, origins, t_in)
+    for j, (inp, _tgt) in enumerate(_samples(frames, origins, t_in, t_out)):
         if model == "micromodel":
             cube = predict(params, inp)
             rates = extract_intensity(cube, table, cfg.bins)
@@ -353,8 +361,7 @@ def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
         elif model == "persistence":
             rates = bl.persistence(inp[-1], t_out)
         else:
-            motion = bl.estimate_motion(inp)
-            rates = bl.advect(inp[-1], motion, t_out)
+            rates = bl.advect(inp[-1], motions[j], t_out)
         # pixels the baseline cannot see (advected in from outside) forecast no rain
         rates = np.where(rates == SENTINEL, 0.0, rates)
         rates_all.append(rates)

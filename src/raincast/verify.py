@@ -193,14 +193,17 @@ def _gaussian_band(n: int) -> np.ndarray:
     return np.where((k >= 0) & (k < SSIM_WINDOW), g[k.clip(0, SSIM_WINDOW - 1)], 0.0)
 
 
-def ssim(pred, obs) -> float:
-    """Mean structural similarity over all fully interior Gaussian windows.
+def ssim(pred, obs):
+    """Mean structural similarity over all fully interior Gaussian windows
+    of each field in two (..., H, W) stacks: a float for one field, an array
+    with one value per field otherwise.
 
-    The dynamic range is taken from the observation field.  Inputs must be
+    The dynamic range is taken from each observation field.  Inputs must be
     sentinel-free and at least ``SSIM_WINDOW`` pixels on each side.  The
     local means of p, o, p^2, o^2 and p*o come from one stack filtered by
     the separable Gaussian, along W and then along H, each a product with
-    a band matrix of the normalised 1-D kernel.
+    a band matrix of the normalised 1-D kernel built once per call.  Each
+    field's value is bit for bit its value when scored alone.
     """
     pred = np.asarray(pred, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
@@ -208,14 +211,14 @@ def ssim(pred, obs) -> float:
         raise ValueError("pred/obs shape mismatch")
     if np.any(pred == SENTINEL) or np.any(obs == SENTINEL):
         raise ValueError("ssim inputs must be sentinel-free")
-    if min(pred.shape) < SSIM_WINDOW:
+    if pred.ndim < 2 or min(pred.shape[-2:]) < SSIM_WINDOW:
         raise ValueError(f"fields must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    dyn = float(obs.max() - obs.min())
-    if dyn == 0.0:
-        dyn = 1.0
-    c1 = (SSIM_K1 * dyn) ** 2
-    c2 = (SSIM_K2 * dyn) ** 2
-    h, w = pred.shape
+    dyn = obs.max(axis=(-2, -1)) - obs.min(axis=(-2, -1))
+    # (K * range)^2 as a Python float power (C pow) per field: numpy would
+    # square instead, which rounds the last bit differently for some ranges
+    c1, c2 = (np.reshape([(k * (d or 1.0)) ** 2 for d in np.ravel(dyn).tolist()], dyn.shape + (1, 1))
+              for k in (SSIM_K1, SSIM_K2))
+    h, w = pred.shape[-2:]
     maps = np.stack([pred, obs, pred * pred, obs * obs, pred * obs])
     mu_p, mu_o, e_pp, e_oo, e_po = _gaussian_band(h).T @ (maps @ _gaussian_band(w))
     var_p = e_pp - mu_p**2
@@ -223,7 +226,8 @@ def ssim(pred, obs) -> float:
     cov = e_po - mu_p * mu_o
     num = (2 * mu_p * mu_o + c1) * (2 * cov + c2)
     den = (mu_p**2 + mu_o**2 + c1) * (var_p + var_o + c2)
-    return float(np.mean(num / den))
+    means = np.mean(num / den, axis=(-2, -1))
+    return float(means) if means.ndim == 0 else means
 
 
 # ---------------------------------------------------------------------------
@@ -320,76 +324,100 @@ class SkillReport:
         return json.dumps(doc, sort_keys=True)
 
 
+def _sorted_distinct(values) -> list:
+    """Index of the first occurrence of each distinct value, in value order:
+    the order in which a report lists thresholds, windows and pools."""
+    values = list(values)
+    return [values.index(v) for v in sorted(set(values))]
+
+
 def build_report(samples, config: ReportConfig) -> SkillReport:
     """Micro-aggregate a stream of :class:`EvalSample` into a skill report.
 
     Each sample is scored on whole arrays: its (T, n_thresholds, H, W) event
     cubes are built once, masked by the valid observations, and confusion
     counts, max-pooled counts and the FSS sums of every window come from axis
-    reductions and one summed-area table per cube.  These, the error, SSIM
-    and CRPS sums are accumulated per (threshold, lead time) in sample order;
-    scores are computed once at the end.
+    reductions and one summed-area table per cube.  These, the error and the
+    CRPS sums are arrays indexed by lead time (and threshold), added up in
+    sample order.  Every sentinel-free (sample, lead) field is scored by one
+    stacked :func:`ssim` call after the stream ends, and its values are
+    summed per lead in sample order.  Scores are computed once at the end.
+    All samples must hold the same number of lead times.
     """
     windows = [fss_window_px(km, config.res_km) for km in config.windows_km]
     thresholds = np.asarray(config.thresholds, dtype=np.float64)[:, None, None]
-    conf, pooled, fss_acc, err_acc, crps_acc, ssim_acc = {}, {}, {}, {}, {}, {}
     lead_min = list(config.lead_min)
-    n_samples = 0
-
-    def add(acc, key, *values):
-        sums = acc.setdefault(key, [0] * len(values))
-        for j, v in enumerate(values):
-            sums[j] += v
+    n_samples = n_leads = 0
+    # running sums, arrays after the first sample: confusion counts
+    # (T, n_thresholds, 4), the same per pool, FSS numerator and denominator
+    # (2, T, n_thresholds) per window, and absolute error, squared error and
+    # valid-pixel count (3, T); CRPS total and pixel count (2, T)
+    conf, errors, crps_acc = 0, 0, None
+    pooled, fss_acc = [0] * len(config.pools), [0] * len(windows)
+    ssim_fields = []  # (lead, pred, obs) of every field SSIM scores
 
     for s in samples:
         n_samples += 1
         pred = np.asarray(s.pred, dtype=np.float64)
         obs = np.asarray(s.obs, dtype=np.float64)
-        lead_min = lead_min or list(range(pred.shape[0]))
+        if n_samples == 1:
+            n_leads = pred.shape[0]
+            lead_min = lead_min or list(range(n_leads))
+            crps_acc = np.zeros((2, n_leads))
+        elif pred.shape[0] != n_leads:
+            raise ValueError("every sample must hold the same number of lead times")
         pe, oe, valid = _events(pred[:, None], obs[:, None], thresholds)
-        counts = np.stack(_counts(pe, oe, np.count_nonzero(valid, axis=(-2, -1))), axis=-1)
-        pool_counts = [np.stack(_pooled_counts(pe, oe, int(p)), axis=-1) for p in config.pools]
-        fss_sums = _fss_sums(pe, oe, windows)
-        errors = _error_sums(pred, obs, valid[:, 0], axis=(1, 2))
-        for t in range(pred.shape[0]):
-            for i, th in enumerate(config.thresholds):
-                add(conf, (th, t), *counts[t, i].tolist())
-                for pool, c in zip(config.pools, pool_counts):
-                    add(pooled, (th, pool, t), *c[t, i].tolist())
-                for (num, den), w_km in zip(fss_sums, config.windows_km):
-                    add(fss_acc, (th, w_km, t), num[t, i].item(), den[t, i].item())
-            add(err_acc, t, *(e[t].item() for e in errors))
-            if valid[t, 0].all() and min(pred.shape[1:]) >= SSIM_WINDOW:
-                add(ssim_acc, t, ssim(pred[t], obs[t]), 1)
+        conf = conf + np.stack(_counts(pe, oe, np.count_nonzero(valid, axis=(-2, -1))), axis=-1)
+        pooled = [acc + np.stack(_pooled_counts(pe, oe, int(p)), axis=-1)
+                  for acc, p in zip(pooled, config.pools)]
+        fss_acc = [acc + np.stack(sums) for acc, sums in zip(fss_acc, _fss_sums(pe, oe, windows))]
+        errors = errors + np.stack(_error_sums(pred, obs, valid[:, 0], axis=(1, 2)))
+        if min(pred.shape[1:]) >= SSIM_WINDOW:
+            ssim_fields += [(t, pred[t], obs[t]) for t in range(n_leads) if valid[t, 0].all()]
         if s.prob is not None and config.bins is not None:
-            for t in range(pred.shape[0]):
+            for t in range(n_leads):
                 r = crps(s.prob[t : t + 1], s.obs[t : t + 1], config.bins)
                 if not r.empty:
-                    add(crps_acc, t, r.value * r.count, r.count)
+                    crps_acc[:, t] += r.value * r.count, r.count
 
     if n_samples == 0:
         raise ValueError("build_report needs at least one sample")
 
+    ssim_acc = np.zeros((2, n_leads))  # SSIM total and field count
+    if ssim_fields:
+        field_leads, preds, obss = zip(*ssim_fields)
+        for t, v in zip(field_leads, ssim(np.stack(preds), np.stack(obss)).tolist()):
+            ssim_acc[:, t] += v, 1
+
     report = SkillReport(config=config, n_samples=n_samples)
+    rows = report.rows
+    by_threshold = _sorted_distinct(config.thresholds)
+    leads = range(n_leads)
 
     def lead_label(t):
         return lead_min[t] if t < len(lead_min) else t
 
-    for (th, t), c in sorted(conf.items()):
-        scores = categorical_scores(ConfusionCounts(*c))
-        for m in ("csi", "fbi", "hss"):
-            report.rows.append((m, th, lead_label(t), scores[m]))
-    for (th, w_km, t), (num, den) in sorted(fss_acc.items()):
-        v = 1.0 if den == 0.0 else 1.0 - num / den
-        report.rows.append((f"fss_{w_km:g}km", th, lead_label(t), v))
-    for (th, pool, t), c in sorted(pooled.items()):
-        csi = categorical_scores(ConfusionCounts(*c))["csi"]
-        report.rows.append((f"pooled_csi_p{pool}", th, lead_label(t), csi))
-    for t, (abs_sum, sq_sum, n) in sorted(err_acc.items()):
-        report.rows.append(("mae", "all", lead_label(t), abs_sum / n if n else math.nan))
-        report.rows.append(("mse", "all", lead_label(t), sq_sum / n if n else math.nan))
-    for t, (total, n) in sorted(crps_acc.items()):
-        report.rows.append(("crps", "all", lead_label(t), total / n if n else math.nan))
-    for t, (total, n) in sorted(ssim_acc.items()):
-        report.rows.append(("ssim", "all", lead_label(t), total / n if n else math.nan))
+    for i in by_threshold:
+        th = config.thresholds[i]
+        for t in leads:
+            scores = categorical_scores(ConfusionCounts(*conf[t, i].tolist()))
+            rows += [(m, th, lead_label(t), scores[m]) for m in ("csi", "fbi", "hss")]
+    for i in by_threshold:
+        for j in _sorted_distinct(config.windows_km):
+            for t in leads:
+                num, den = fss_acc[j][:, t, i].tolist()
+                v = 1.0 if den == 0.0 else 1.0 - num / den
+                rows.append((f"fss_{config.windows_km[j]:g}km", config.thresholds[i], lead_label(t), v))
+    for i in by_threshold:
+        for j in _sorted_distinct(config.pools):
+            for t in leads:
+                csi = categorical_scores(ConfusionCounts(*pooled[j][t, i].tolist()))["csi"]
+                rows.append((f"pooled_csi_p{config.pools[j]}", config.thresholds[i], lead_label(t), csi))
+    for t, (abs_sum, sq_sum, n) in enumerate(errors.T.tolist()):
+        rows.append(("mae", "all", lead_label(t), abs_sum / n if n else math.nan))
+        rows.append(("mse", "all", lead_label(t), sq_sum / n if n else math.nan))
+    for metric, acc in (("crps", crps_acc), ("ssim", ssim_acc)):
+        for t, (total, n) in enumerate(acc.T.tolist()):
+            if n:
+                rows.append((metric, "all", lead_label(t), total / n))
     return report

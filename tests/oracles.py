@@ -245,6 +245,45 @@ def msd_surface_loop(f_prev, f_next, search):
     return out
 
 
+def advect_loop(frame, motion, t_out):
+    """Backward semi-Lagrangian advection one lead at a time: lead k samples
+    the frame bilinearly at x - k*v, sentinel outside the domain or where a
+    sample touches a sentinel with nonzero weight."""
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w = frame.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    out = np.empty((int(t_out), h, w))
+    sent = frame == SENTINEL
+    for k in range(1, int(t_out) + 1):
+        sy = ys - k * motion.vy
+        sx = xs - k * motion.vx
+        inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
+        y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
+        x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
+        y1 = np.minimum(y0 + 1, h - 1)
+        x1 = np.minimum(x0 + 1, w - 1)
+        fy = sy - y0
+        fx = sx - x0
+        w00 = (1 - fy) * (1 - fx)
+        w01 = (1 - fy) * fx
+        w10 = fy * (1 - fx)
+        w11 = fy * fx
+        val = (
+            w00 * frame[y0, x0]
+            + w01 * frame[y0, x1]
+            + w10 * frame[y1, x0]
+            + w11 * frame[y1, x1]
+        )
+        touches_sent = (
+            ((w00 > 0) & sent[y0, x0])
+            | ((w01 > 0) & sent[y0, x1])
+            | ((w10 > 0) & sent[y1, x0])
+            | ((w11 > 0) & sent[y1, x1])
+        )
+        out[k - 1] = np.where(inside & ~touches_sent, val, SENTINEL)
+    return out
+
+
 def csi_curve_loop(p, events, candidates):
     """CSI of the forecast p >= c against events for each candidate c, one
     pixel at a time."""

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from raincast.baseline import MotionField, advect, estimate_motion, persistence
+from raincast import baseline
+from raincast.baseline import MotionField, advect, estimate_motion, estimate_motions, persistence
 from raincast.raster import SENTINEL
 from raincast.verify import accumulate_confusion, categorical_scores
 
@@ -78,6 +81,48 @@ class TestEstimateMotion:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
             estimate_motion(blob()[None])
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_sentinel_stack_is_low_confidence(self):
+        m = estimate_motion(np.full((3, 8, 8), SENTINEL))
+        assert (m.vx, m.vy, m.low_confidence) == (0.0, 0.0, True)
+
+    @pytest.mark.filterwarnings("error")
+    def test_missing_middle_frame_is_low_confidence(self):
+        frames = np.stack([blob(cx=12.0), np.full((32, 32), SENTINEL), blob(cx=16.0)])
+        m = estimate_motion(frames, search=6)
+        assert (m.vx, m.vy, m.low_confidence) == (0.0, 0.0, True)
+
+
+class TestEstimateMotions:
+    def frames(self, n=7):
+        return np.stack([blob(cy=14.0 + 0.5 * k, cx=8.0 + 2.0 * k) for k in range(n)])
+
+    def test_each_distinct_pair_is_matched_once(self):
+        frames = self.frames()
+        calls = []
+
+        def spy(f_prev, f_next, search):
+            # which pair: the offset of the earlier frame inside the stack
+            calls.append((f_prev.ctypes.data - frames.ctypes.data) // frames[0].nbytes)
+            return real(f_prev, f_next, search)
+
+        real = baseline._pair_motion
+        ends = [3, 4, 3, 6, 5, 4]  # overlapping, repeated and out of order
+        with mock.patch.object(baseline, "_pair_motion", spy):
+            motions = estimate_motions(frames, ends, 3, search=6)
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+        assert len(motions) == len(ends)
+        assert motions[0] == motions[2] and motions[1] == motions[5]
+
+    def test_recovers_the_scene_motion(self):
+        for m in estimate_motions(self.frames(), [2, 5], 3, search=6):
+            assert (round(m.vx), round(m.vy)) == (2, 0) and not m.low_confidence
+
+    @pytest.mark.parametrize("ends,t_in", [([1], 3), ([7], 3), ([-1], 2), ([4], 1)])
+    def test_window_outside_the_frames_or_too_short_rejected(self, ends, t_in):
+        with pytest.raises(ValueError):
+            estimate_motions(self.frames(), ends, t_in)
 
 
 class TestAdvect:

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import raincast
 from raincast.cli import main
 from raincast.pipeline import ConfigError, RunConfig, run_stage
 
@@ -98,6 +103,10 @@ class TestConfig:
         ("scene.radius_range", [0.0, 4.0]),
         ("scene.res_km", 0.0),
         ("scene.rate_cap", -1.0),
+        ("scene.hole_radius", -100.0),
+        ("scene.hole_prob", 7.0),
+        ("scene.hole_prob", -1.0),
+        ("scene.noise_sigma", -0.05),
     ])
     def test_nonpositive_scores_rejected(self, tmp_path, key, values):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -171,6 +180,20 @@ class TestStages:
         assert main(["eval", "--config", str(drifted), "--out", str(out), "--model", "persistence"]) == 3
         assert main(["eval", "--config", str(drifted), "--out", str(out), "--model", "persistence",
                      "--force"]) == 0
+
+    def test_advection_without_overlapping_frames_is_quiet(self, tmp_path):
+        """Holes wider than the scene leave frame pairs that share no valid
+        pixel; their motion is flat, and predict warns about nothing."""
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["scene"].update(hole_prob=0.5, hole_radius=100.0)
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        for stage in ("gen", "split"):
+            assert main([stage, "--config", str(path), "--out", str(out)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(raincast.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "raincast", "predict", "--model", "advection",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_unknown_stage_rejected(self):
         cfg = RunConfig.from_dict(BASE_CONFIG)

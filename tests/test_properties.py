@@ -1,7 +1,9 @@
 """Property tests: invariants of the loss and reconstruction math checked on
 generated shapes, sentinel holes and lead weights; the tape convolutions, the
 motion search, the space-to-depth rearrangement, the calibration CSI curve and
-SSIM against their loop oracles; an input-only backward sweep against a full
+SSIM against their loop oracles; windowed motion estimates against one
+window at a time, all-lead advection against the per-lead loop and stacked
+SSIM against one field at a time; an input-only backward sweep against a full
 one; the artifact codec on generated arrays and damage; and the CLI on
 mutated configs, stage orders and damaged artifacts."""
 
@@ -15,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,6 +38,7 @@ from raincast.raster import SENTINEL, depth_to_space_array, space_to_depth_array
 from raincast.verify import ssim
 
 from oracles import (
+    advect_loop,
     conv3x3_loop,
     csi_curve_loop,
     msd_surface_loop,
@@ -141,8 +144,6 @@ class TestMotionSearch:
     @given(frame_pairs())
     def test_motion_matches_motion_from_loop_surface(self, case):
         frames, search = case
-        # with no valid pixel pair at any shift there is nothing to estimate
-        assume(not np.isinf(msd_surface_loop(frames[0], frames[1], search)).all())
         got = baseline.estimate_motion(frames, search)
         assert (got.vx, got.vy, got.low_confidence) == exact_decision(frames, search)
 
@@ -166,7 +167,6 @@ class TestMotionSearch:
         """An adversarial estimate anywhere inside a loose bound: the exact rows
         and, near the flatness boundary, the exact fallback recover the decision."""
         frames, search = case
-        assume(not np.isinf(msd_surface_loop(frames[0], frames[1], search)).all())
         exact = baseline._msd_rows(frames[0], frames[1], search, range(2 * search + 1))
         finite = np.isfinite(exact)
         bound = np.where(finite, scale * (1.0 + np.abs(np.where(finite, exact, 0.0))), 0.0)
@@ -219,6 +219,71 @@ def tape_conv(op, x, w, b, g):
     y = op(tape, xl, wl, bl)
     tape.backward(tape.weighted_sum(y, g))
     return y.value, wl.grad, bl.grad, xl.grad
+
+
+@st.composite
+def frame_stacks(draw):
+    """Three to seven frames of noise with sentinel holes, a moving blob, all
+    zeros or a blob with whole frames missing; a window length; and window
+    ends that overlap, leave gaps and repeat, in any order."""
+    n, h, w = draw(st.integers(3, 7)), draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    search = draw(st.integers(1, max(h, w) + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["holes", "blob", "zeros", "missing"]))
+    if kind == "zeros":
+        frames = np.zeros((n, h, w))
+    elif kind == "holes":
+        frames = rng.uniform(0, 5, size=(n, h, w))
+        frames[rng.uniform(size=frames.shape) < rng.uniform(0.1, 0.9)] = SENTINEL
+    else:
+        ys, xs = np.mgrid[0:h, 0:w]
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        dy, dx = rng.uniform(-2, 2, size=2)
+        frames = np.stack([5.0 * np.exp(-((ys - cy - k * dy) ** 2 + (xs - cx - k * dx) ** 2) / 8.0)
+                           for k in range(n)])
+        if kind == "missing":
+            frames[rng.uniform(size=n) < 0.4] = SENTINEL
+    t_in = draw(st.integers(2, n))
+    ends = draw(st.lists(st.integers(t_in - 1, n - 1), min_size=1, max_size=6))
+    return frames, ends, t_in, search
+
+
+class TestMotionWindows:
+    @SETTINGS
+    @given(frame_stacks())
+    def test_equals_one_window_at_a_time(self, case):
+        """Each window's motion is the mean of its pairs' estimates, and is low
+        confidence when every pair is flat, whether the window is estimated
+        alone or among others."""
+        frames, ends, t_in, search = case
+        got = [(m.vx, m.vy, m.low_confidence)
+               for m in baseline.estimate_motions(frames, ends, t_in, search)]
+        alone = [baseline.estimate_motion(frames[e - t_in + 1 : e + 1], search) for e in ends]
+        assert got == [(m.vx, m.vy, m.low_confidence) for m in alone]
+        pairs = [[baseline._pair_motion(frames[i], frames[i + 1], search)
+                  for i in range(e - t_in + 1, e)] for e in ends]
+        assert got == [(float(np.mean([p[0] for p in ps])), float(np.mean([p[1] for p in ps])),
+                        all(p[2] for p in ps)) for ps in pairs]
+
+
+class TestAdvect:
+    @SETTINGS
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 5),
+           st.sampled_from(["plain", "holes", "missing"]),
+           st.one_of(st.floats(-3.0, 3.0), st.integers(-15, 15).map(float)),
+           st.one_of(st.floats(-3.0, 3.0), st.integers(-15, 15).map(float)),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_per_lead_loop(self, h, w, t_out, kind, vx, vy, seed):
+        """Fractional, negative and out-of-domain motions, on frames with
+        sentinel holes or none valid at all."""
+        rng = np.random.default_rng(seed)
+        frame = rng.uniform(0, 5, size=(h, w))
+        if kind == "holes":
+            frame[rng.uniform(size=frame.shape) < 0.2] = SENTINEL
+        elif kind == "missing":
+            frame[:] = SENTINEL
+        motion = baseline.MotionField(vx, vy)
+        assert np.array_equal(baseline.advect(frame, motion, t_out), advect_loop(frame, motion, t_out))
 
 
 class TestConvolutions:
@@ -362,6 +427,24 @@ class TestSsim:
         rng = np.random.default_rng(seed)
         pred, obs = rain_field(rng, pred_kind, (h, w)), rain_field(rng, obs_kind, (h, w))
         assert abs(ssim(pred, obs) - ssim_loop(pred, obs)) <= 1e-12
+
+    @SETTINGS
+    @given(st.integers(11, 16), st.integers(11, 16), st.lists(st.integers(1, 3), max_size=2),
+           st.integers(0, 2**32 - 1))
+    def test_stack_equals_each_field_bit_for_bit(self, h, w, stack_shape, seed):
+        rng = np.random.default_rng(seed)
+        kinds = ["uniform", "sparse", "constant"]
+        shape = (*stack_shape, h, w)
+        n = int(np.prod(stack_shape))
+        pred = np.stack([rain_field(rng, kinds[i % 3], (h, w)) for i in range(n)]).reshape(shape)
+        obs = np.stack([rain_field(rng, kinds[(i + 1) % 3], (h, w)) for i in range(n)]).reshape(shape)
+        got = ssim(pred, obs)
+        if not stack_shape:
+            assert isinstance(got, float)
+            return
+        assert got.shape == tuple(stack_shape)
+        for idx in np.ndindex(*stack_shape):
+            assert got[idx] == ssim(pred[idx], obs[idx])
 
 
 def f32_arrays(min_side=0):

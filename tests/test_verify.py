@@ -276,6 +276,44 @@ class TestBuildReport:
         assert math.isnan(report.value("csi", 1.0, 60.0))
         assert report.macro()["csi"] == 1.0
 
+    def test_ssim_rows_are_running_means_of_each_field(self):
+        """One stacked SSIM call per report: each lead's row is the mean, summed
+        in sample order, of the fields scored one at a time; fields whose
+        observation holds a sentinel are skipped, and a lead without any
+        field has no row."""
+        rng = np.random.default_rng(16)
+        samples = []
+        for j in range(5):
+            obs = rng.uniform(0, 3, size=(3, 12, 12))
+            obs[2, 5, 5] = SENTINEL  # lead 2 is never scored
+            if j % 2:
+                obs[1, 0, 0] = SENTINEL  # lead 1 is scored for every other sample
+            samples.append(EvalSample(rng.uniform(0, 3, size=(3, 12, 12)), obs))
+        cfg = ReportConfig(thresholds=(1.0,), windows_km=(2.0,), pools=(4,), res_km=2.0,
+                           bins=None, lead_min=(60.0, 120.0, 180.0))
+        report = build_report(samples, cfg)
+        for t, lead in enumerate(cfg.lead_min[:2]):
+            total, n = 0.0, 0
+            for s in samples:
+                if np.all(s.obs[t] != SENTINEL):
+                    total += ssim(s.pred[t], s.obs[t])
+                    n += 1
+            assert report.value("ssim", "all", lead) == total / n
+        with pytest.raises(KeyError):
+            report.value("ssim", "all", 180.0)
+
+    def test_rows_follow_sorted_thresholds_windows_and_pools(self):
+        samples = [self.sample(17), self.sample(18)]
+        ordered = ReportConfig(thresholds=(0.5, 1.0), windows_km=(2.0, 10.0), pools=(2, 4),
+                               res_km=2.0, bins=None, lead_min=(60.0, 120.0))
+        shuffled = ReportConfig(thresholds=(1.0, 0.5), windows_km=(10.0, 2.0), pools=(4, 2),
+                                res_km=2.0, bins=None, lead_min=(60.0, 120.0))
+        assert build_report(samples, shuffled).to_csv() == build_report(samples, ordered).to_csv()
+
+    def test_samples_with_different_lead_counts_rejected(self):
+        with pytest.raises(ValueError):
+            build_report([self.sample(t=2), self.sample(t=1)], self.config())
+
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_rows_match_loop_oracles(self, n_samples):
         # sentinel holes in obs, a 12x16 field that the pools still divide,
