@@ -31,6 +31,11 @@ def _replace(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def write_csv(path: Path, lines) -> None:
+    """Write ``lines`` as a CSV file, moved into place whole like an artifact."""
+    _replace(path, "".join(f"{line}\n" for line in lines).encode())
+
+
 def write(base: str | Path, fields: dict, arrays=None) -> None:
     """Write ``fields`` as the header and, when ``arrays`` is given, their
     float32 bytes as the payload."""

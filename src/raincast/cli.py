@@ -31,13 +31,8 @@ import sys
 from pathlib import Path
 
 from .micromodel import DivergenceError
-from .pipeline import (
-    MODELS,
-    ConfigError,
-    MissingArtifactError,
-    RunConfig,
-    run_stage,
-)
+from .pipeline import MODELS, MissingArtifactError, RunConfig, run_stage
+from .schema import ConfigError, require
 
 EXIT_MISSING = 2
 EXIT_SCHEMA = 3
@@ -86,8 +81,7 @@ def main(argv=None) -> int:
             model = dataclasses.replace(cfg.model, seed=args.seed)
             cfg = dataclasses.replace(cfg, seed=args.seed, scene=scene, model=model)
         out = args.out or cfg.out_dir
-        if out is None:
-            raise ConfigError("no output directory: pass --out or set out_dir in the config")
+        require(out is not None, "no output directory: pass --out or set out_dir in the config")
         # every option a stage's subparser defines is a keyword of that stage
         kwargs = {k: v for k, v in vars(args).items() if k not in ("stage", "config", "out", "seed")}
         run_stage(args.stage, cfg, Path(out), **kwargs)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import SENTINEL
+from .schema import check_types, require, widen
 
 # Marshall-Palmer Z-R relation, Z = a * R^b
 MP_A = 200.0
@@ -68,13 +69,13 @@ class BinSet:
     top_width: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(float(e) for e in self.edges))
-        e = np.asarray(self.edges)
-        if (len(e) == 0 or not np.all(np.isfinite(e)) or e[0] <= 0
-                or (len(e) > 1 and np.any(np.diff(e) <= 0))):
-            raise ValueError("edges must be finite, strictly increasing and positive")
-        if not (np.isfinite(self.top_width) and self.top_width > 0):
-            raise ValueError("top_width must be finite and positive")
+        if isinstance(self.edges, (list, tuple)):
+            object.__setattr__(self, "edges", tuple(map(widen, self.edges)))
+        check_types(self, "bins.")
+        e = self.edges
+        require(len(e) > 0 and e[0] > 0 and all(a < b for a, b in zip(e, e[1:])),
+                "bins.edges must be strictly increasing and positive")
+        require(self.top_width > 0, "bins.top_width must be positive")
 
     @property
     def n_classes(self) -> int:
@@ -96,10 +97,8 @@ class BinSet:
 
     @classmethod
     def preset(cls, name: str) -> "BinSet":
-        try:
-            return PRESETS[name]
-        except KeyError:
-            raise KeyError(f"unknown bin preset {name!r}; choose from {sorted(PRESETS)}") from None
+        require(name in PRESETS, f"unknown bin preset {name!r}; choose from {sorted(PRESETS)}")
+        return PRESETS[name]
 
 
 # Fine edges for light rain, coarser for heavy rain; open top bucket >= 25 mm/h.

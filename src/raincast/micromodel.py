@@ -29,6 +29,7 @@ from .probcast import (
     softmax,
 )
 from .raster import SENTINEL
+from .schema import check_types, require
 
 LEARNING_RATE = 3e-4
 ADAM_BETAS = (0.9, 0.999)
@@ -61,15 +62,19 @@ class ModelConfig:
     ema_decay: float = EMA_DECAY
 
     def __post_init__(self):
-        if min(self.t_in, self.t_out, self.k_classes, self.stem_block,
-               self.channels, self.n_blocks) < 1:
-            raise ValueError("all size fields must be positive")
-        if self.mode not in ("single-pass", "lead-conditioned"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.loss not in ("ordinal", "ce"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.channels % (self.stem_block**2):
-            raise ValueError("channels must be divisible by stem_block^2")
+        check_types(self, "model.")
+        for name in ("t_in", "t_out", "k_classes", "stem_block", "channels", "n_blocks",
+                     "steps", "batch_size"):
+            require(getattr(self, name) >= 1, f"model.{name} must be at least 1")
+        require(self.mode in ("single-pass", "lead-conditioned"), f"unknown model.mode {self.mode!r}")
+        require(self.loss in ("ordinal", "ce"), f"unknown model.loss {self.loss!r}")
+        require(self.channels % self.stem_block**2 == 0,
+                "model.channels must be divisible by model.stem_block squared")
+        for name in ("lr", "rate_cap"):
+            require(getattr(self, name) > 0, f"model.{name} must be positive")
+        require(self.alpha >= 1, "model.alpha must be at least 1")
+        require(0 < self.ema_decay < 1, "model.ema_decay must lie strictly between 0 and 1")
+        require(self.seed >= 0, "model.seed must be nonnegative")
 
     @property
     def in_channels(self) -> int:

@@ -10,10 +10,8 @@ from the single configured seed.
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .micromodel import (
 )
 from .probcast import ThresholdTable, calibrate_thresholds, extract_intensity
 from .raster import SENTINEL, SourceStack, load_raster, save_raster
+from .schema import ConfigError, check_types, require, typed, widen
 from .synthdata import SceneConfig, gen_sequence, make_splits
 from .verify import EvalSample, ReportConfig, build_report, csv_row
 
@@ -40,28 +39,15 @@ MODELS = ("micromodel", "persistence", "advection")
 STAGES = ("gen", "split", "train", "calibrate", "predict", "eval", "attribute", "report")
 
 
-class ConfigError(ValueError):
-    """The run configuration violates the schema."""
-
-
 def _take(doc: dict, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+    require(isinstance(doc, dict), f"{where} must be a JSON object")
     unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _typed(value, kind) -> bool:
-    """Whether a config field holds a value of its declared type: an int or a
-    bool exactly, a float as a finite int or float, a tuple item by item."""
-    if kind is float:
-        return type(value) in (int, float) and math.isfinite(value)
-    if kind in (int, bool, str):
-        return type(value) is kind
-    items = get_args(kind)  # tuple[float, ...] fields of a fixed length
-    return (isinstance(value, tuple) and len(value) == len(items)
-            and all(map(_typed, value, items)))
+def _tuple(value):
+    """A JSON list as a tuple; any other value as it is, for the type check."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)
@@ -80,96 +66,52 @@ class RunConfig:
     model: ModelConfig
     out_dir: str | None = None
 
+    def __post_init__(self):
+        check_types(self)
+        require(self.seed >= 0, "seed must be nonnegative")
+        for name in ("thresholds", "windows_km"):
+            require(all(v > 0 for v in getattr(self, name)), f"{name} must all be positive")
+        require(self.timeline_days > 0, "timeline.days must be positive")
+        require(self.step_min > 0, "timeline.step_min must be positive")
+        require(min(*self.cycle_days, self.blackout_h) >= 0 and sum(self.cycle_days) > 0,
+                "splits.cycle_days and blackout_h must be nonnegative, cycle_days summing above 0")
+        # the rules that span sections
+        h, w, k = self.scene.h, self.scene.w, self.bins.n_classes
+        require(self.model.k_classes == k,
+                f"model.k_classes = {self.model.k_classes} does not match {k} bin edges")
+        sizes = [("pool", p) for p in self.pools] + [("model.stem_block", self.model.stem_block)]
+        for name, size in sizes:
+            require(size >= 1 and h % size == w % size == 0,
+                    f"{name} {size} does not divide the {h}x{w} scene")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         _take(doc, {"seed", "bins", "thresholds", "windows_km", "pools", "timeline",
                     "splits", "scene", "model", "out_dir"}, "run config")
-        try:
-            seed = int(doc.get("seed", 0))
-            bins_spec = doc.get("bins", "europe")
-            if isinstance(bins_spec, str):
-                bins = BinSet.preset(bins_spec)
-                bins_name = bins_spec
-            else:
-                _take(bins_spec, {"edges", "top_width"}, "bins")
-                bins = BinSet(tuple(bins_spec["edges"]), bins_spec.get("top_width", 5.0))
-                bins_name = None
-            timeline = doc.get("timeline", {})
-            _take(timeline, {"days", "step_min"}, "timeline")
-            splits = doc.get("splits", {})
-            _take(splits, {"cycle_days", "blackout_h"}, "splits")
-            cycle = tuple(splits.get("cycle_days", (12.0, 2.0, 2.0)))
-            if len(cycle) != 3:
-                raise ConfigError("cycle_days must hold train, val and test day counts")
-            scene_doc = dict(doc.get("scene", {}))
-            _take(scene_doc, set(SceneConfig.__dataclass_fields__), "scene")
-            scene_doc.setdefault("seed", seed)
-            for key in ("amp_range", "radius_range", "velocity"):
-                if key in scene_doc:
-                    scene_doc[key] = tuple(scene_doc[key])
-            model_doc = dict(doc.get("model", {}))
-            _take(model_doc, set(ModelConfig.__dataclass_fields__), "model")
-            model_doc.setdefault("seed", seed)
-            cfg = cls(
-                seed=seed,
-                bins=bins,
-                bins_name=bins_name,
-                thresholds=tuple(doc.get("thresholds", (0.5, 1.0, 2.0, 5.0, 10.0))),
-                windows_km=tuple(doc.get("windows_km", (2.0, 10.0, 20.0))),
-                pools=tuple(int(p) for p in doc.get("pools", (4,))),
-                timeline_days=float(timeline.get("days", 20.0)),
-                step_min=float(timeline.get("step_min", 60.0)),
-                cycle_days=cycle,
-                blackout_h=float(splits.get("blackout_h", 12.0)),
-                scene=SceneConfig(**scene_doc),
-                model=ModelConfig(**model_doc),
-                out_dir=doc.get("out_dir"),
-            )
-            for where, section in (("scene", cfg.scene), ("model", cfg.model)):
-                for f in section.__dataclass_fields__.values():
-                    if not _typed(getattr(section, f.name), f.type):
-                        raise ConfigError(f"{where}.{f.name} has the wrong type or is not finite")
-            scene, model = cfg.scene, cfg.model
-            positive = {"thresholds": cfg.thresholds, "windows_km": cfg.windows_km,
-                        "timeline.days": (cfg.timeline_days,),
-                        "timeline.step_min": (cfg.step_min,), "model.lr": (model.lr,),
-                        "model.rate_cap": (model.rate_cap,), "scene.res_km": (scene.res_km,),
-                        "scene.rate_cap": (scene.rate_cap,),
-                        "scene.radius_range": scene.radius_range}
-            for key, values in positive.items():
-                if not all(math.isfinite(v) and v > 0 for v in values):
-                    raise ConfigError(f"{key} must all be finite and positive")
-            if model.alpha < 1:
-                raise ConfigError("model.alpha must be at least 1")
-            if not 0 <= scene.hole_prob <= 1:
-                raise ConfigError("scene.hole_prob must lie in [0, 1]")
-            if min(scene.hole_radius, scene.noise_sigma) < 0:
-                raise ConfigError("scene.hole_radius and scene.noise_sigma must be nonnegative")
-            if not 0 < model.ema_decay < 1:
-                raise ConfigError("model.ema_decay must lie strictly between 0 and 1")
-            if min(model.steps, model.batch_size) < 1:
-                raise ConfigError("model.steps and model.batch_size must be at least 1")
-            if not (all(math.isfinite(v) and v >= 0 for v in (*cycle, cfg.blackout_h))
-                    and sum(cycle) > 0):
-                raise ConfigError("splits.cycle_days and blackout_h must be finite and "
-                                  "nonnegative, and cycle_days must sum above zero")
-        except (TypeError, ValueError, KeyError) as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(str(e)) from e
-        if cfg.model.k_classes != cfg.bins.n_classes:
-            raise ConfigError(
-                f"model.k_classes = {cfg.model.k_classes} does not match "
-                f"{cfg.bins.n_classes} bin edges"
-            )
-        for pool in cfg.pools:
-            if pool < 1 or cfg.scene.h % pool or cfg.scene.w % pool:
-                raise ConfigError(f"pool {pool} does not divide the {cfg.scene.h}x{cfg.scene.w} scene")
-        block = cfg.model.stem_block
-        if cfg.scene.h % block or cfg.scene.w % block:
-            raise ConfigError(f"model.stem_block {block} does not divide the "
-                              f"{cfg.scene.h}x{cfg.scene.w} scene")
-        return cfg
+        seed = doc.get("seed", 0)
+        bins_spec = doc.get("bins", "europe")
+        if isinstance(bins_spec, str):
+            bins, bins_name = BinSet.preset(bins_spec), bins_spec
+        else:
+            _take(bins_spec, {"edges", "top_width"}, "bins")
+            bins, bins_name = BinSet(bins_spec.get("edges"), bins_spec.get("top_width", 5.0)), None
+        timeline, splits = doc.get("timeline", {}), doc.get("splits", {})
+        _take(timeline, {"days", "step_min"}, "timeline")
+        _take(splits, {"cycle_days", "blackout_h"}, "splits")
+        sections = {}
+        for name, kind in (("scene", SceneConfig), ("model", ModelConfig)):
+            section = doc.get(name, {})
+            _take(section, set(kind.__dataclass_fields__), name)
+            sections[name] = kind(**{"seed": seed, **{k: _tuple(v) for k, v in section.items()}})
+        return cls(
+            seed=seed, bins=bins, bins_name=bins_name, out_dir=doc.get("out_dir"), **sections,
+            thresholds=_tuple(doc.get("thresholds", (0.5, 1.0, 2.0, 5.0, 10.0))),
+            windows_km=_tuple(doc.get("windows_km", (2.0, 10.0, 20.0))),
+            pools=_tuple(doc.get("pools", (4,))),
+            timeline_days=widen(timeline.get("days", 20.0)),
+            step_min=widen(timeline.get("step_min", 60.0)),
+            cycle_days=_tuple(splits.get("cycle_days", (12.0, 2.0, 2.0))),
+            blackout_h=widen(splits.get("blackout_h", 12.0)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -253,8 +195,7 @@ def _split_windows(cfg: RunConfig, out: Path, split: str):
         raise DamagedArtifactError(f"{out / 'splits.json'}: {len(labels)} labels "
                                    f"for {len(stack.data)} frames")
     origins = _window_origins(labels, split, cfg.model.t_in, cfg.model.t_out)
-    if not origins:
-        raise ConfigError(f"no {split} windows fit inside the {split} split")
+    require(bool(origins), f"no {split} windows fit inside the {split} split")
     return stack, origins
 
 
@@ -319,8 +260,8 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
     dataset = _samples(stack.data[:, 0], origins, cfg.model.t_in, cfg.model.t_out)
     params, curve = train(dataset, cfg.model, cfg.bins)
     save_checkpoint(out / "model", params, extra={"config_hash": cfg.hash})
-    lines = ["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(curve)]
-    (out / "loss_curve.csv").write_text("\n".join(lines) + "\n")
+    artifact.write_csv(out / "loss_curve.csv",
+                       ["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(curve)])
 
 
 def _lead_minutes(cfg: RunConfig) -> tuple[float, ...]:
@@ -339,8 +280,7 @@ def stage_calibrate(cfg: RunConfig, out: Path) -> None:
 
 
 def stage_predict(cfg: RunConfig, out: Path, model: str) -> None:
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
+    require(model in MODELS, f"unknown model {model!r}; choose from {MODELS}")
     stack, origins = _split_windows(cfg, out, "test")
     frames = stack.data[:, 0]
     t_in, t_out = cfg.model.t_in, cfg.model.t_out
@@ -390,7 +330,7 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
         if len(origins) != len(arrays[0]) or not all(
                 type(i) is int and 0 <= i < len(frames) - t_out for i in origins):
             raise ValueError("origin_indices do not index the frames")
-        if not all(_typed(v, float) for v in doc["lead_min"]):
+        if not all(typed(v, float) for v in doc["lead_min"]):
             raise ValueError("lead_min holds a value that is not a finite number")
         return doc, arrays
 
@@ -409,24 +349,22 @@ def stage_eval(cfg: RunConfig, out: Path, model: str, force: bool = False,
         lead_min=tuple(doc["lead_min"]),
     )
     report = build_report(samples, rc)
-    (out / f"report_{model}.csv").write_text(report.to_csv())
+    artifact.write_csv(out / f"report_{model}.csv", report.to_csv().splitlines())
     rep_doc = json.loads(report.to_json())
     rep_doc["config_hash"] = cfg.hash
     rep_doc["model"] = model
     artifact.write(out / f"report_{model}", rep_doc)
     if plot_data:
         lines = ["metric,threshold,lead_min,value"] + [csv_row(*row) for row in report.rows]
-        (out / f"plot_{model}.csv").write_text("\n".join(lines) + "\n")
+        artifact.write_csv(out / f"plot_{model}.csv", lines)
 
 
 def stage_attribute(cfg: RunConfig, out: Path, lead: int = 0, class_index: int = 0,
                     steps: int = 64) -> None:
-    if not 0 <= lead < cfg.model.t_out:
-        raise ConfigError(f"--lead {lead} is outside [0, {cfg.model.t_out})")
-    if not 0 <= class_index < cfg.model.classes_per_lead:
-        raise ConfigError(f"--class-index {class_index} is outside [0, {cfg.model.classes_per_lead})")
-    if steps < 1:
-        raise ConfigError(f"--steps {steps} must be at least 1")
+    t_out, classes = cfg.model.t_out, cfg.model.classes_per_lead
+    require(0 <= lead < t_out, f"--lead {lead} is outside [0, {t_out})")
+    require(0 <= class_index < classes, f"--class-index {class_index} is outside [0, {classes})")
+    require(steps >= 1, f"--steps {steps} must be at least 1")
     stack, origins = _split_windows(cfg, out, "test")
     params = _read_model(cfg, out)
     inp = stack.data[origins[0] - cfg.model.t_in + 1 : origins[0] + 1, 0]
@@ -435,7 +373,7 @@ def stage_attribute(cfg: RunConfig, out: Path, lead: int = 0, class_index: int =
     lines = ["feature,importance"]
     lines += [csv_row(name, float(v)) for name, v in zip(names, result["per_channel"])]
     lines.append(csv_row("completeness_gap", result["completeness_gap"]))
-    (out / "attribution.csv").write_text("\n".join(lines) + "\n")
+    artifact.write_csv(out / "attribution.csv", lines)
 
 
 def _plane_names(cfg: RunConfig):
@@ -461,14 +399,13 @@ def stage_report(cfg: RunConfig, out: Path, plot_data: bool = False) -> None:
         rows = [csv_row(model, *(row[k] for k in fields)) for row in doc["rows"]]
         lines += rows + [csv_row(model, m, "all", "all", v) for m, v in sorted(doc["macro"].items())]
         plot_lines += rows
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    artifact.write_csv(out / "comparison.csv", lines)
     if plot_data:
-        (out / "plot_data.csv").write_text("\n".join(plot_lines) + "\n")
+        artifact.write_csv(out / "plot_data.csv", plot_lines)
 
 
 def run_stage(stage: str, cfg: RunConfig, out: Path, **kwargs) -> None:
     """Run ``stage_<stage>`` with ``kwargs``.  The stage is looked up in this
     module when called, so a stage patched onto the module is the one that runs."""
-    if stage not in STAGES:
-        raise ConfigError(f"unknown stage {stage!r}")
+    require(stage in STAGES, f"unknown stage {stage!r}")
     globals()[f"stage_{stage}"](cfg, out, **kwargs)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import SENTINEL
+from .schema import check_types, require
 
 MIN_PER_HOUR = 60
 MIN_PER_DAY = 1440
@@ -35,13 +36,17 @@ class SceneConfig:
     rate_cap: float = 64.0  # keep rates inside the reflectivity-representable range
 
     def __post_init__(self):
-        if self.h < 1 or self.w < 1 or self.n_cells < 0:
-            raise ValueError("bad scene dimensions")
-        for lo, hi in (self.amp_range, self.radius_range):
-            if hi < lo:
-                raise ValueError("empty range")
-        if self.amp_range[0] < 0:
-            raise ValueError("amplitudes must be nonnegative")
+        check_types(self, "scene.")
+        require(min(self.h, self.w) >= 1, "scene.h and scene.w must be at least 1")
+        for name in ("n_cells", "noise_sigma", "hole_radius", "seed"):
+            require(getattr(self, name) >= 0, f"scene.{name} must be nonnegative")
+        for name in ("res_km", "rate_cap"):
+            require(getattr(self, name) > 0, f"scene.{name} must be positive")
+        require(0 <= self.hole_prob <= 1, "scene.hole_prob must lie in [0, 1]")
+        require(0 <= self.amp_range[0] <= self.amp_range[1],
+                "scene.amp_range must be nonnegative and not empty")
+        require(0 < self.radius_range[0] <= self.radius_range[1],
+                "scene.radius_range must be positive and not empty")
 
 
 def gen_sequence(cfg: SceneConfig, t_steps: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -5,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raincast
+from raincast import artifact
 from raincast.cli import main
+from raincast.intensity import BinSet
+from raincast.micromodel import ModelConfig
 from raincast.pipeline import ConfigError, RunConfig, run_stage
+from raincast.synthdata import SceneConfig
 
 import test_acceptance
 
@@ -145,6 +152,120 @@ class TestConfig:
         doc["model"]["k_classes"] = 18
         cfg = RunConfig.from_dict(doc)
         assert cfg.bins.n_classes == 18
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("seed", -1, "seed"),
+        ("seed", 1.7, "seed"),
+        ("seed", True, "seed"),
+        ("pools", [2.5], "pools"),
+        ("thresholds", [True], "thresholds"),
+        ("out_dir", 5, "out_dir"),
+        ("bins.edges", [True, 2.0], "bins.edges"),
+        ("bins.top_width", True, "bins.top_width"),
+        ("--seed", -3, "seed"),
+        pytest.param("scene.res_km", 10**400, "scene.res_km", id="res_km-beyond-float"),
+        pytest.param("timeline.days", 10**400, "timeline", id="days-beyond-float"),
+    ])
+    def test_bad_value_exits_three_naming_the_field(self, tmp_path, capsys, key, value, field):
+        doc, args = json.loads(json.dumps(BASE_CONFIG)), []
+        if key == "--seed":
+            args = [key, str(value)]
+        else:
+            parent, _, leaf = key.rpartition(".")
+            (doc[parent] if parent else doc)[leaf] = value
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), *args]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and field in lines[0], lines
+
+    def test_canonical_config_hashes_are_pinned(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        docs = [BASE_CONFIG, test_acceptance.TestCriterion11.CONFIG, workloads.config_doc(0, 16)]
+        assert [RunConfig.from_dict(doc).hash for doc in docs] == [
+            "8142b4b56325bcd8", "f1c2b4d85fe0f378", "faf068b1d8001aea"]
+
+
+class TestConfigTypes:
+    """Each rule lives on the config type that owns the field, so it holds
+    however the config is built, not only from JSON."""
+
+    @pytest.mark.parametrize("kind,field,value", [
+        (SceneConfig, "hole_prob", 7.0),
+        (SceneConfig, "hole_prob", -1.0),
+        (SceneConfig, "hole_radius", -1.0),
+        (SceneConfig, "noise_sigma", -0.05),
+        (SceneConfig, "res_km", 0.0),
+        (SceneConfig, "rate_cap", -1.0),
+        (SceneConfig, "radius_range", (0.0, 4.0)),
+        (SceneConfig, "amp_range", (6.0, 1.0)),
+        (SceneConfig, "velocity", (1.0,)),
+        (SceneConfig, "velocity", [1.0, 0.0]),
+        (SceneConfig, "h", 0),
+        (SceneConfig, "n_cells", 2.0),
+        (SceneConfig, "seed", -1),
+        (SceneConfig, "seed", True),
+        (ModelConfig, "lr", -1.0),
+        (ModelConfig, "lr", float("nan")),
+        (ModelConfig, "ema_decay", 5.0),
+        (ModelConfig, "ema_decay", 0.0),
+        (ModelConfig, "steps", 2.5),
+        (ModelConfig, "steps", 0),
+        (ModelConfig, "batch_size", 0),
+        (ModelConfig, "alpha", 0.5),
+        (ModelConfig, "rate_cap", float("inf")),
+        (ModelConfig, "use_ema", 1),
+        (ModelConfig, "mode", "two-pass"),
+        (ModelConfig, "channels", 6),
+        (ModelConfig, "seed", -3),
+        (BinSet, "edges", (True, 2.0)),
+        (BinSet, "edges", (2.0, 1.0)),
+        (BinSet, "edges", ()),
+        (BinSet, "edges", (float("nan"), 2.0)),
+        (BinSet, "edges", 5),
+        (BinSet, "edges", (np.float64(1.0),)),
+        (BinSet, "edges", (10**400,)),
+        (BinSet, "top_width", True),
+        (BinSet, "top_width", 0.0),
+        (RunConfig, "seed", -1),
+        (RunConfig, "seed", 1.7),
+        (RunConfig, "seed", True),
+        (RunConfig, "pools", (2.5,)),
+        (RunConfig, "pools", (3,)),
+        (RunConfig, "thresholds", (True,)),
+        (RunConfig, "thresholds", (0.0,)),
+        (RunConfig, "windows_km", [2.0]),
+        (RunConfig, "out_dir", 5),
+        (RunConfig, "timeline_days", "4"),
+        (RunConfig, "step_min", 0.0),
+        (RunConfig, "cycle_days", (2.0, 1.0)),
+        (RunConfig, "cycle_days", (0.0, 0.0, 0.0)),
+        (RunConfig, "blackout_h", -1.0),
+        (RunConfig, "bins", (0.5, 2.0)),
+        (RunConfig, "bins", BinSet((0.5, 2.0, 4.0))),
+        (RunConfig, "scene", SceneConfig(h=15)),
+    ])
+    def test_replace_with_a_bad_value_raises(self, kind, field, value):
+        cfg = RunConfig.from_dict(BASE_CONFIG)
+        valid = {SceneConfig: cfg.scene, ModelConfig: cfg.model, BinSet: cfg.bins, RunConfig: cfg}
+        with pytest.raises(ConfigError):
+            dataclasses.replace(valid[kind], **{field: value})
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelConfig(lr=-1.0),
+        lambda: ModelConfig(ema_decay=5.0),
+        lambda: ModelConfig(steps=2.5),
+        lambda: SceneConfig(hole_prob=7.0),
+    ], ids=["lr", "ema_decay", "steps", "hole_prob"])
+    def test_direct_construction_is_checked(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_bins_accept_int_edges_as_floats(self):
+        assert BinSet((1, 2)).edges == (1.0, 2.0)
+        assert type(BinSet((1, 2)).edges[0]) is float
 
 
 class TestStages:
@@ -310,6 +431,24 @@ class TestDamagedArtifacts:
         assert main([*stage, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out / name) in err and "Traceback" not in err
+
+    def test_failed_csv_write_keeps_the_previous_file(self, tmp_path, monkeypatch, predicted_run):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        args = ["eval", "--out", str(out), "--model", "micromodel"]
+        assert main([*args, "--config", str(write_config(tmp_path))]) == 0
+        before = (out / "report_micromodel.csv").read_bytes()
+        # under other thresholds the rerun's report differs from the one on disk
+        drifted = write_config(tmp_path, {**BASE_CONFIG, "thresholds": [0.5, 2.0, 50.0]},
+                               name="drifted.json")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(artifact.os, "replace", refuse)
+        with pytest.raises(OSError):
+            main([*args, "--config", str(drifted), "--force"])
+        assert (out / "report_micromodel.csv").read_bytes() == before
 
     def test_force_does_not_waive_integrity(self, tmp_path, predicted_run):
         out = tmp_path / "out"

@@ -59,7 +59,7 @@ unit = st.floats(0.0, 1.0)
 def ordinal_cases(draw):
     t, k, h, w = draw(dims), draw(dims), draw(dims), draw(dims)
     steps = draw(arrays(np.float64, k, elements=st.floats(0.1, 3.0)))
-    bins = BinSet(tuple(np.cumsum(steps)))
+    bins = BinSet(tuple(np.cumsum(steps).tolist()))  # config fields take Python floats
     rates = draw(arrays(np.float64, (t, h, w), elements=st.floats(0.0, 12.0)))
     holes = draw(arrays(np.bool_, (t, h, w)))
     rates[holes] = SENTINEL
@@ -484,8 +484,9 @@ class TestArtifactCodec:
                 artifact.read(Path(tmp) / "a")
 
 
-# The CLI fuzz gate: mutated configs, stages in any order and damaged artifacts
-# must end in a documented exit code with one line on stderr, never a traceback.
+# The CLI fuzz gate: mutated configs, an optional --seed (negative ones too),
+# stages in any order and damaged artifacts must end in a documented exit code
+# with one line on stderr, never a traceback.
 # The base is the CLI tests' config trained for two steps; dropping model.steps
 # is left out only because its 2000-step default is slow, not wrong.
 
@@ -575,13 +576,15 @@ class TestCliFuzz:
         for path, kind in mutations:
             mutate(doc, path, kind)
         extra = data.draw(st.lists(st.sampled_from(STAGE_ARGS), max_size=4), label="extra stages")
+        seed = data.draw(st.none() | st.integers(-3, 3), label="--seed")
+        seed_args = [] if seed is None else ["--seed", str(seed)]
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.json", Path(tmp) / "out"
             cfg.write_text(json.dumps(doc))
             for args in STAGE_ARGS[:prefix] + extra:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    code = main([*args, "--config", str(cfg), "--out", str(out)])
+                    code = main([*args, "--config", str(cfg), "--out", str(out), *seed_args])
                 assert code in (0, 2, 3, 4), (args, code)
                 lines = err.getvalue().splitlines()
                 assert len(lines) == (code != 0), (args, lines)
